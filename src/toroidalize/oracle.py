@@ -15,6 +15,7 @@ implementations is evidence, shared code would be tautology.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -24,8 +25,8 @@ from .forms import Form, MonomialPresentation
 class BoundExceededError(RuntimeError):
     """Some search path outran the depth bound; carries the offending path."""
 
-    def __init__(self, path: tuple) -> None:
-        super().__init__(f"search path of length {len(path)} exceeds the depth bound")
+    def __init__(self, path: tuple, message: str | None = None) -> None:
+        super().__init__(message or f"search path of length {len(path)} exceeds the depth bound")
         self.path = path
 
 
@@ -202,7 +203,8 @@ def exhaustive_search(
     it, exactly as the driver does, but with a free choice of target.
     Reports the minimum and maximum path length to an empty locus over all
     choice sequences; raises :class:`BoundExceededError` with the offending
-    path if any sequence is still busy at the bound.
+    path if any sequence is still busy at the bound, and with an empty path
+    if the search runs out of interpreter stack before it gets there.
     """
     converted = raw_state(presentations)
     for pt in converted:
@@ -237,7 +239,17 @@ def exhaustive_search(
         memo[state] = result
         return result
 
-    lo, hi = search(root, 0, ())
+    try:
+        lo, hi = search(root, 0, ())
+    except RecursionError:
+        # One stack frame per step: a depth bound near the interpreter's
+        # recursion limit runs out of stack before it runs out of depth.
+        raise BoundExceededError(
+            (),
+            f"search went deeper than the interpreter's recursion limit "
+            f"({sys.getrecursionlimit()}) allows before reaching the depth bound "
+            f"{bound.max_depth}",
+        ) from None
     return SearchResult(
         all_terminate=True, min_depth=lo, max_depth=hi, states_explored=explored
     )

@@ -15,11 +15,18 @@ so all of them are transformed together.  Descendants that come out
 principal leave the worklist immediately but stay in the scenario as
 leaves; the trace records every step with before/after invariant data so
 the run can be re-verified independently.
+
+The cost of a step depends on the targeted chart's active presentations,
+never on the leaves.  A :class:`Scenario` keeps its active entries and
+their centers per chart; a step updates the targeted chart alone and
+enumerates centers only for the descendants it creates.  Descendants are
+stored once, in the append-only step log, and the flat entry list is
+built from that log only when someone asks for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
 from .forms import (
@@ -29,7 +36,7 @@ from .forms import (
     MonomialPresentation,
     is_principal,
 )
-from .invariants import CenterRecord, LocusReport, enumerate_centers, locus_report
+from .invariants import CenterRecord, LocusReport, locus_report
 from .transform import Center, CenterKind, ChartPoint, blowup
 
 
@@ -52,14 +59,14 @@ class Phase(Enum):
     TWO_POINT = "two_point"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     id: int
     presentation: MonomialPresentation
     active: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     """Chart-scoped invariant state around a step, for descent verification."""
 
@@ -70,7 +77,7 @@ class Snapshot:
     center_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescendantRecord:
     id: int
     parent_id: int
@@ -79,7 +86,7 @@ class DescendantRecord:
     principal: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     index: int
     chart_index: int
@@ -96,50 +103,118 @@ class TraceStep:
 class Trace:
     steps: tuple[TraceStep, ...] = ()
 
-    def append(self, step: TraceStep) -> "Trace":
-        return Trace(self.steps + (step,))
 
-
-@dataclass(frozen=True)
 class Scenario:
     """The full symbolic state: chart flags, identified presentations, history.
 
     ``charts[i-1]`` records whether the base point lies on chart i's piece
     of the target divisor.  Entries keep stable ids; ``active`` mirrors
     non-principality and only active entries feed the locus.
+
+    Validation happens once, when input enters the system: constructing a
+    ``Scenario`` checks every entry (unique ids below ``next_id``, chart
+    flags, dimension, and that active means non-principal).  :func:`step`
+    trusts its own output and checks only the descendants it creates.
+
+    A scenario is immutable.  ``entries`` lists the presentations in
+    pre-order over the blowup tree: descendants sit at their parent's
+    position.  After a step it is built from the step log on first access.
     """
 
-    n: int
-    charts: tuple[bool, ...]
-    entries: tuple[Entry, ...]
-    next_id: int
-    history: Trace = Trace()
+    __slots__ = (
+        "n", "charts", "next_id",
+        "_roots", "_log", "_size", "_base",
+        "_entries", "_history", "_locus", "_active", "_centers", "_by_id",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        charts: tuple[bool, ...],
+        entries: tuple[Entry, ...],
+        next_id: int,
+        history: Trace = Trace(),
+    ) -> None:
+        entries = tuple(entries)
+        _assign(
+            self, n=n, charts=charts, next_id=next_id,
+            _roots=entries, _log=list(history.steps), _size=len(history.steps),
+            _base=len(history.steps), _entries=entries, _history=history,
+        )
+        self._validate()
+
+    @classmethod
+    def _successor(
+        cls,
+        parent: "Scenario",
+        next_id: int,
+        log: list[TraceStep],
+        size: int,
+        active: dict[int, tuple[Entry, ...]],
+        centers: dict[int, tuple[CenterRecord, ...]],
+    ) -> "Scenario":
+        """The state after one step: trusted, so no entry is re-checked."""
+        new = object.__new__(cls)
+        _assign(
+            new, n=parent.n, charts=parent.charts, next_id=next_id,
+            _roots=parent._roots, _log=log, _size=size, _base=parent._base,
+            _active=active, _centers=centers,
+        )
+        return new
+
+    def _validate(self) -> None:
         if self.n < 2:
             raise FormError(f"ambient dimension must be >= 2, got {self.n}")
         if not self.charts:
             raise FormError("scenario needs at least one chart")
         seen: set[int] = set()
-        for entry in self.entries:
+        for entry in self._roots:
             if entry.id in seen:
                 raise FormError(f"duplicate presentation id {entry.id}")
             seen.add(entry.id)
             if entry.id >= self.next_id:
                 raise FormError("next_id must exceed every existing id")
-            p = entry.presentation
-            idx = p.context.chart_index
-            if idx > len(self.charts):
-                raise FormError(f"presentation {entry.id} references missing chart {idx}")
-            if p.context.q_in_divisor != self.charts[idx - 1]:
-                raise FormError(
-                    f"presentation {entry.id} disagrees with chart {idx} about the base point"
-                )
-            _check_dimension(p, self.n, entry.id)
-            if entry.active == is_principal(p):
-                raise FormError(
-                    f"presentation {entry.id} has active={entry.active} but principality says otherwise"
-                )
+            _check_entry(entry, is_principal(entry.presentation), self.n, self.charts)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __getattr__(self, name: str):
+        # Only reached for a slot not filled yet: a lazily derived view.
+        if name not in _LAZY:
+            raise AttributeError(name)
+        value = _LAZY[name](self)
+        object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        return self._entries
+
+    @property
+    def history(self) -> Trace:
+        return self._history
+
+    def _key(self) -> tuple:
+        return (self.n, tuple(self.charts), self.entries, self.next_id, self.history)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # Copies and pickles go back through the validating constructor.
+        return Scenario, (self.n, self.charts, self.entries, self.next_id, self.history)
+
+    def __repr__(self) -> str:
+        return (
+            f"Scenario(n={self.n!r}, charts={self.charts!r}, entries={self.entries!r}, "
+            f"next_id={self.next_id!r}, history={self.history!r})"
+        )
 
     def active_entries(self) -> tuple[Entry, ...]:
         return tuple(e for e in self.entries if e.active)
@@ -148,13 +223,75 @@ class Scenario:
         return tuple((e.id, e.presentation) for e in self.entries if e.active)
 
     def entry(self, pid: int) -> Entry:
-        for e in self.entries:
-            if e.id == pid:
-                return e
-        raise KeyError(pid)
+        return self._by_id[pid]
 
     def locus(self) -> LocusReport:
-        return locus_report(self.active_pairs())
+        return self._locus
+
+
+def _assign(obj: Scenario, **fields) -> None:
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+def _flatten(scenario: Scenario) -> tuple[Entry, ...]:
+    """Pre-order over the blowup tree: each parent replaced by its descendants."""
+    children: dict[int, list[Entry]] = {}
+    for s in scenario._log[scenario._base : scenario._size]:
+        for d in s.descendants:
+            children.setdefault(d.parent_id, []).append(
+                Entry(d.id, d.presentation, active=not d.principal)
+            )
+    out: list[Entry] = []
+    pending = list(reversed(scenario._roots))
+    while pending:
+        entry = pending.pop()
+        kids = children.get(entry.id)
+        if kids is None:
+            out.append(entry)
+        else:
+            pending.extend(reversed(kids))
+    return tuple(out)
+
+
+def _active_by_chart(scenario: Scenario) -> dict[int, tuple[Entry, ...]]:
+    grouped: dict[int, list[Entry]] = {}
+    for e in scenario.active_entries():
+        grouped.setdefault(e.presentation.context.chart_index, []).append(e)
+    return {chart: tuple(entries) for chart, entries in grouped.items()}
+
+
+def _centers_by_chart(scenario: Scenario) -> dict[int, tuple[CenterRecord, ...]]:
+    grouped: dict[int, list[CenterRecord]] = {}
+    for r in scenario.locus().centers:
+        grouped.setdefault(r.chart_index, []).append(r)
+    return {chart: tuple(records) for chart, records in grouped.items()}
+
+
+_LAZY = {
+    "_entries": _flatten,
+    "_history": lambda s: Trace(tuple(s._log[: s._size])),
+    "_locus": lambda s: locus_report(s.active_pairs()),
+    "_active": _active_by_chart,
+    "_centers": _centers_by_chart,
+    "_by_id": lambda s: {e.id: e for e in s.entries},
+}
+
+
+def _check_entry(entry: Entry, principal: bool, n: int, charts: tuple[bool, ...]) -> None:
+    p = entry.presentation
+    idx = p.context.chart_index
+    if idx > len(charts):
+        raise FormError(f"presentation {entry.id} references missing chart {idx}")
+    if p.context.q_in_divisor != charts[idx - 1]:
+        raise FormError(
+            f"presentation {entry.id} disagrees with chart {idx} about the base point"
+        )
+    _check_dimension(p, n, entry.id)
+    if entry.active == principal:
+        raise FormError(
+            f"presentation {entry.id} has active={entry.active} but principality says otherwise"
+        )
 
 
 def _check_dimension(p: MonomialPresentation, n: int, pid: int) -> None:
@@ -189,27 +326,24 @@ def center_signature(p: MonomialPresentation, c: Center) -> tuple:
     return (chart, "pair", (p.column(c.i), p.column(c.j)))
 
 
-def _chart_snapshot(report: LocusReport, chart_index: int) -> Snapshot:
-    records = [r for r in report.centers if r.chart_index == chart_index]
+def _snapshot(records: tuple[CenterRecord, ...]) -> Snapshot:
     free = [r.value for r in records if r.form is Form.MONOMIAL_FREE]
     pair = [r.value for r in records if r.center.kind is CenterKind.PAIR]
     one_max = max(free, default=0)
     two_max = max(pair, default=0)
     return Snapshot(
         one_point_max=one_max,
-        one_point_achievers=sum(1 for v in free if v == one_max) if free else 0,
+        one_point_achievers=free.count(one_max) if free else 0,
         two_point_max=two_max,
-        two_point_achievers=sum(1 for v in pair if v == two_max) if pair else 0,
+        two_point_achievers=pair.count(two_max) if pair else 0,
         center_count=len(records),
     )
 
 
 def _select_target(
-    scenario: Scenario, report: LocusReport
+    on_divisor: bool, records: tuple[CenterRecord, ...]
 ) -> tuple[Phase, CenterRecord]:
-    chart = min(r.chart_index for r in report.centers)
-    records = [r for r in report.centers if r.chart_index == chart]
-    if not scenario.charts[chart - 1]:
+    if not on_divisor:
         return Phase.TRANSVERSE, min(records, key=CenterRecord.sort_key)
     free = [r for r in records if r.form is Form.MONOMIAL_FREE]
     if free:
@@ -223,70 +357,105 @@ def _select_target(
 
 def step(scenario: Scenario) -> Scenario:
     """Blow up the phase policy's target center and replace every
-    presentation through it by its descendants."""
-    report = scenario.locus()
-    if report.is_empty():
+    presentation through it by its descendants.
+
+    Works on the lowest chart that still has centers and touches nothing
+    else.  The input was validated when it entered the system, so only the
+    new descendants are checked.  ``scenario`` is left unchanged; calling
+    this twice on it gives equal results.
+    """
+    centers = scenario._centers
+    if not centers:
         raise NoCenterError("every presentation is already principal")
-    phase, target = _select_target(scenario, report)
-    chart = target.chart_index
-    target_pres = scenario.entry(target.presentation_id).presentation
-    signature = center_signature(target_pres, target.center)
+    chart = min(centers)
+    records = centers[chart]
+    active = scenario._active[chart]
+    by_id = {e.id: e.presentation for e in active}
+    phase, target = _select_target(scenario.charts[chart - 1], records)
+    signature = center_signature(by_id[target.presentation_id], target.center)
 
-    matched: list[tuple[Entry, Center]] = []
-    for entry in scenario.active_entries():
-        if entry.presentation.context.chart_index != chart:
-            continue
-        for c in sorted(enumerate_centers(entry.presentation), key=Center.sort_key):
-            if center_signature(entry.presentation, c) == signature:
-                matched.append((entry, c))
-                break
-    if not matched:
-        raise NoCenterError("internal: target signature matched nothing")
+    # Records run in (id, center) order, so the first hit per id is the
+    # lowest matching center of that presentation.  A signature fixes the
+    # value, so only records carrying the target's value can match.
+    matched: dict[int, Center] = {}
+    for r in records:
+        pid = r.presentation_id
+        if (
+            r.value == target.value
+            and pid not in matched
+            and center_signature(by_id[pid], r.center) == signature
+        ):
+            matched[pid] = r.center
 
-    matched_ids = {entry.id for entry, _ in matched}
+    n, charts = scenario.n, scenario.charts
     next_id = scenario.next_id
-    new_entries: list[Entry] = []
+    parents: list[tuple[int, Center]] = []
     descendants: list[DescendantRecord] = []
-    for entry in scenario.entries:
-        if entry.id not in matched_ids:
-            new_entries.append(entry)
+    still_active: list[Entry] = []
+    born_active: list[tuple[int, MonomialPresentation]] = []
+    for entry in active:
+        center = matched.get(entry.id)
+        if center is None:
+            still_active.append(entry)
             continue
-        center = next(c for e, c in matched if e.id == entry.id)
-        result = blowup(entry.presentation, center)
-        for desc in result.descendants:
+        parents.append((entry.id, center))
+        for desc in blowup(entry.presentation, center).descendants:
             principal = is_principal(desc.presentation)
-            record = DescendantRecord(
-                id=next_id,
-                parent_id=entry.id,
-                point=desc.point,
-                presentation=desc.presentation,
-                principal=principal,
+            new_entry = Entry(next_id, desc.presentation, active=not principal)
+            _check_entry(new_entry, principal, n, charts)
+            descendants.append(
+                DescendantRecord(
+                    id=next_id,
+                    parent_id=entry.id,
+                    point=desc.point,
+                    presentation=desc.presentation,
+                    principal=principal,
+                )
             )
-            descendants.append(record)
-            new_entries.append(Entry(next_id, desc.presentation, active=not principal))
+            if not principal:
+                still_active.append(new_entry)
+                born_active.append((next_id, desc.presentation))
             next_id += 1
 
-    before = _chart_snapshot(report, chart)
-    new_scenario = Scenario(
-        n=scenario.n,
-        charts=scenario.charts,
-        entries=tuple(new_entries),
-        next_id=next_id,
-        history=scenario.history,
-    )
-    after = _chart_snapshot(new_scenario.locus(), chart)
+    # Untouched presentations keep their centers.  New ids exceed every
+    # old one, so the new records sort after the kept ones.
+    kept = tuple(r for r in records if r.presentation_id not in matched)
+    new_records = kept + locus_report(born_active).centers
+    size = scenario._size
     trace_step = TraceStep(
-        index=len(scenario.history.steps),
+        index=size,
         chart_index=chart,
         phase=phase,
         signature=signature,
         value=target.value,
-        parents=tuple((entry.id, c) for entry, c in matched),
+        parents=tuple(parents),
         descendants=tuple(descendants),
-        before=before,
-        after=after,
+        before=_snapshot(records),
+        after=_snapshot(new_records),
     )
-    return replace(new_scenario, history=scenario.history.append(trace_step))
+
+    # Successors share one log while they grow in a line.  A state reads
+    # only its first ``_size`` steps, and slot ``_size`` is written once, so
+    # whoever lands there owns it; a second step from the same state (even
+    # a racing one) forks a copy instead.
+    log = scenario._log
+    log.append(trace_step)
+    if log[size] is not trace_step:
+        log = log[:size]
+        log.append(trace_step)
+
+    new_active = dict(scenario._active)
+    new_centers = dict(centers)
+    _put(new_active, chart, tuple(still_active))
+    _put(new_centers, chart, new_records)
+    return Scenario._successor(scenario, next_id, log, size + 1, new_active, new_centers)
+
+
+def _put(by_chart: dict, chart: int, items: tuple) -> None:
+    if items:
+        by_chart[chart] = items
+    else:
+        by_chart.pop(chart, None)
 
 
 def default_budget(scenario: Scenario) -> int:
@@ -307,7 +476,7 @@ def run(scenario: Scenario, max_steps: int) -> tuple[Scenario, Trace]:
         raise ValueError("max_steps must be positive")
     current = scenario
     steps = 0
-    while not current.locus().is_empty():
+    while current._centers:
         if steps >= max_steps:
             raise StepBudgetExceededError(steps, current)
         current = step(current)

@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,57 @@ def test_oracle_exits(tmp_path, capsys):
     assert report["min_depth"] == 3 and report["max_depth"] == 3
     assert main(["oracle", str(FIXTURES / "euclid.json"), "--depth", "1"]) == 3
     assert main(["oracle", str(FIXTURES / "smooth.json"), "--depth", "2"]) == 0
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_oracle_deeper_than_recursion_limit_exits_3(tmp_path, capsys):
+    # The search takes one stack frame per step, so a depth bound beyond the
+    # interpreter's recursion limit must end in the documented depth error,
+    # not a RecursionError.  A lowered limit keeps the overrun small and fast.
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps({
+        "version": 1, "n": 2,
+        "charts": [{"q_in_divisor": True}],
+        "presentations": [{"chart": 1, "form": "monomial_free", "u": [600], "v": [0]}],
+    }))
+    argv = ["oracle", str(ladder), "--depth", "5000", "--max-entry", "600"]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 300)
+    try:
+        code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "depth"
+    assert "recursion limit" in report["detail"]["message"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: run exits 0 but verify rejects its trace with "
+    "'strict descent violated at round 0, step 31: two_point measure went "
+    "(1, 400) -> (1, 405)'",
+)
+def test_verify_accepts_run_trace_of_five_column_pair(tmp_path, capsys):
+    scenario = tmp_path / "pair.json"
+    scenario.write_text(json.dumps({
+        "version": 1, "n": 6,
+        "charts": [{"q_in_divisor": True}],
+        "presentations": [
+            {"chart": 1, "form": "monomial_pair", "u": [4, 5, 0, 4, 0], "v": [0, 0, 8, 8, 3]}
+        ],
+    }))
+    out = tmp_path / "pair.trace.json"
+    assert main(["run", str(scenario), "-o", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
 
 
 # -- tamper detection -------------------------------------------------------------

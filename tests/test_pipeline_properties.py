@@ -12,7 +12,7 @@ from toroidalize.forms import (
     transverse,
 )
 from toroidalize.oracle import SearchBound, exhaustive_search
-from toroidalize.principalize import make_scenario, run
+from toroidalize.principalize import Scenario, make_scenario, run
 from toroidalize.scenario_io import RoundPlan, scenario_to_doc
 from toroidalize.verify import verify_trace
 
@@ -68,6 +68,19 @@ def test_policy_run_always_terminates(scenario):
     final, trace = run(scenario, 512)
     assert final.locus().is_empty()
     assert all(is_principal(e.presentation) for e in final.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_final_state_passes_full_validation(scenario):
+    # step() checks only the descendants it creates; the state it ends in
+    # must still pass every check the constructor runs on input.
+    final, _ = run(scenario, 512)
+    rebuilt = Scenario(
+        n=final.n, charts=final.charts, entries=final.entries, next_id=final.next_id
+    )
+    assert rebuilt.entries == final.entries
+    assert rebuilt.locus() == final.locus()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from toroidalize import principalize
 from toroidalize.forms import (
     ChartContext,
     Form,
@@ -54,6 +57,59 @@ def test_step_records_invariants():
     assert trace_step.after.two_point_max == 2
 
 
+def test_step_is_pure():
+    scenario = make_scenario(
+        4,
+        (True,),
+        [monomial_pair((2, 0), (0, 3), DIV), monomial_free((3,), (1,), DIV)],
+    )
+    entries, next_id = scenario.entries, scenario.next_id
+    first = step(scenario)
+    second = step(scenario)
+    assert first == second
+    assert first is not second
+    # stepping on from one successor leaves its sibling and the origin alone
+    third = step(first)
+    assert len(third.history.steps) == 2
+    assert first.history == second.history
+    assert len(first.history.steps) == 1
+    assert step(second) == third
+    assert scenario.entries == entries
+    assert scenario.next_id == next_id
+    assert scenario.history.steps == ()
+
+
+def _counted_ladder(monkeypatch, n):
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    scenario = make_scenario(2, (True,), [monomial_free((n,), (0,), DIV)])
+    with monkeypatch.context() as m:
+        for name in ("is_principal", "locus_report"):
+            m.setattr(principalize, name, counting(name, getattr(principalize, name)))
+        final, trace = run(scenario, n + 1)
+    descendants = sum(len(s.descendants) for s in trace.steps)
+    return calls, len(trace.steps), descendants
+
+
+def test_step_work_does_not_grow_with_leaf_count(monkeypatch):
+    # A 1-point ladder u = x^N adds two principal leaves per step; the work
+    # of one step must not depend on how many leaves exist already.
+    per_descendant = []
+    for n in (50, 400):
+        calls, steps, descendants = _counted_ladder(monkeypatch, n)
+        assert steps == n
+        assert calls["locus_report"] <= steps + 1
+        per_descendant.append(calls["is_principal"] / descendants)
+    assert per_descendant[0] == per_descendant[1] == 1
+
+
 def test_step_requires_a_center():
     scenario = make_scenario(3, (True,), [monomial_pair((1, 1), (2, 3), DIV)])
     with pytest.raises(NoCenterError):
@@ -89,8 +145,15 @@ def test_run_already_principal():
 
 
 def test_run_budget_exceeded():
-    with pytest.raises(StepBudgetExceededError):
+    with pytest.raises(StepBudgetExceededError) as info:
         run(euclid_scenario(), 1)
+    # the error carries the complete state reached, and it is immutable
+    reached = info.value.scenario
+    assert len(reached.history.steps) == info.value.steps == 1
+    assert reached == step(euclid_scenario())
+    assert not reached.locus().is_empty()
+    with pytest.raises(AttributeError):
+        reached.next_id = 0
 
 
 def test_ladder_drops_by_exactly_one():
