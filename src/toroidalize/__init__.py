@@ -30,11 +30,12 @@ from .forms import (
     transverse_unit,
 )
 from .invariants import (
-    LocusReport,
+    Snapshot,
     center_value,
     enumerate_centers,
     locus_report,
     one_point_invariant,
+    summarize,
     two_point_invariant,
 )
 from .transform import (
@@ -46,7 +47,6 @@ from .transform import (
     blowup,
     blowup_monomial_free,
     blowup_monomial_pair,
-    blowup_monomial_pair_3pt,
     blowup_transverse,
 )
 from .principalize import (
@@ -58,6 +58,7 @@ from .principalize import (
     make_scenario,
     run,
     step,
+    step_lower_bound,
 )
 from .descent import (
     ClassifiedLeaf,

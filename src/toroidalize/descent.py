@@ -112,6 +112,7 @@ def lift(p: MonomialPresentation, source_id: int = -1) -> LiftedPresentation:
         raise NotPrincipalError("lift is undefined before principalization completes")
     ctx = p.context
     form = p.form
+    diff = tuple(a - b for a, b in p.columns())  # exponents of u / v
 
     if form is Form.MONOMIAL_FREE:
         # u = x^a, v = x^a * y: u1 = x^a, v1 = y.
@@ -119,7 +120,6 @@ def lift(p: MonomialPresentation, source_id: int = -1) -> LiftedPresentation:
         return _lifted(source_id, lifted, SurfaceChart.U, own_branches=1)
 
     if form is Form.NESTED:
-        diff = tuple(a - b for a, b in p.columns())
         if row_rank(diff, p.v_row) != 2:
             raise NoTemplateMatchError(
                 "nested shape with proportional quotient violates dominance"
@@ -133,11 +133,10 @@ def lift(p: MonomialPresentation, source_id: int = -1) -> LiftedPresentation:
             # fresh coordinate.
             lifted = monomial_free(p.u_row, (0,) * p.k, ctx)
             return _lifted(source_id, lifted, SurfaceChart.INTERIOR, own_branches=1)
-        diff = tuple(a - b for a, b in p.columns())
         if row_rank(diff, p.v_row) == 2:
             lifted = monomial_pair(diff, p.v_row, ctx)
-            return _lifted(source_id, lifted, SurfaceChart.V, own_branches=2)
-        lifted = power_unit_from_rows(diff, p.v_row, ctx)
+        else:
+            lifted = power_unit_from_rows(diff, p.v_row, ctx)
         return _lifted(source_id, lifted, SurfaceChart.V, own_branches=2)
 
     if form is Form.POWER_UNIT:
@@ -155,7 +154,7 @@ def lift(p: MonomialPresentation, source_id: int = -1) -> LiftedPresentation:
             rows = (p.u_row, tuple(b - a for a, b in p.columns()))
             chart = SurfaceChart.U
         else:
-            rows = (tuple(a - b for a, b in p.columns()), p.v_row)
+            rows = (diff, p.v_row)
             chart = SurfaceChart.V
         lifted = monomial_pair(rows[0], rows[1], ctx)
         return _lifted(
@@ -272,7 +271,7 @@ def classify_scenario(
     branch_overrides: dict[int, int] | None = None,
 ) -> list[ClassifiedLeaf]:
     """Lift and globally classify every leaf of a principalized scenario."""
-    if not scenario.locus().is_empty():
+    if scenario.locus():
         raise NotPrincipalError("scenario still has non-principal presentations")
     overrides = branch_overrides or {}
     leaves: list[ClassifiedLeaf] = []

@@ -177,10 +177,7 @@ def _validate_monomial_free(p: MonomialPresentation) -> None:
     # u = x^a, v = x^b * y: u cuts the whole divisor, so every a_i > 0.
     if p.k < 1:
         raise FormError("monomial_free needs at least one divisor variable")
-    if not all(a > 0 for a in p.u_row):
-        raise FormError("monomial_free requires every u-exponent positive")
-    if not divides(p.v_row, p.u_row):
-        raise FormError("monomial_free requires v-exponents <= u-exponents")
+    _check_u_positive_v_divides(p)
     if p.alpha_nonzero:
         raise FormError("monomial_free carries a bare free coordinate, not a unit shift")
     _no_power_data(p)
@@ -189,10 +186,7 @@ def _validate_monomial_free(p: MonomialPresentation) -> None:
 def _validate_nested(p: MonomialPresentation) -> None:
     if p.k < 2:
         raise FormError("nested needs at least two divisor variables")
-    if not all(a > 0 for a in p.u_row):
-        raise FormError("nested requires every u-exponent positive")
-    if not divides(p.v_row, p.u_row):
-        raise FormError("nested requires v-exponents <= u-exponents")
+    _check_u_positive_v_divides(p)
     if p.v_row == p.u_row:
         raise FormError("nested requires v to divide u strictly")
     if p.alpha_nonzero:
@@ -203,10 +197,7 @@ def _validate_nested(p: MonomialPresentation) -> None:
 def _validate_monomial_unit(p: MonomialPresentation) -> None:
     if p.k < 1:
         raise FormError("monomial_unit needs at least one divisor variable")
-    if not all(a > 0 for a in p.u_row):
-        raise FormError("monomial_unit requires every u-exponent positive")
-    if not divides(p.v_row, p.u_row):
-        raise FormError("monomial_unit requires v-exponents <= u-exponents")
+    _check_u_positive_v_divides(p)
     if not any(p.v_row):
         raise FormError("monomial_unit requires v to vanish at the point (some b_i > 0)")
     if not p.alpha_nonzero:
@@ -265,6 +256,13 @@ def _validate_transverse_product(p: MonomialPresentation) -> None:
     if p.alpha_nonzero:
         raise FormError("transverse_product carries no unit factor")
     _no_power_data(p)
+
+
+def _check_u_positive_v_divides(p: MonomialPresentation) -> None:
+    if not all(a > 0 for a in p.u_row):
+        raise FormError(f"{p.form.value} requires every u-exponent positive")
+    if not divides(p.v_row, p.u_row):
+        raise FormError(f"{p.form.value} requires v-exponents <= u-exponents")
 
 
 def _no_power_data(p: MonomialPresentation) -> None:
@@ -366,9 +364,7 @@ def is_principal(p: MonomialPresentation) -> bool:
         return divides(p.u_row, p.v_row)
     if form in (Form.NESTED, Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT):
         return True
-    if form is Form.MONOMIAL_UNIT or form is Form.POWER_UNIT:
-        return divides(p.u_row, p.v_row) or divides(p.v_row, p.u_row)
-    if form is Form.MONOMIAL_PAIR:
+    if form in (Form.MONOMIAL_UNIT, Form.POWER_UNIT, Form.MONOMIAL_PAIR):
         return divides(p.u_row, p.v_row) or divides(p.v_row, p.u_row)
     if form is Form.TRANSVERSE:
         return False

@@ -113,39 +113,42 @@ class CenterRecord:
         return (self.presentation_id, *self.center.sort_key())
 
 
-@dataclass(frozen=True)
-class ChartReport:
-    chart_index: int
+@dataclass(frozen=True, slots=True)
+class Snapshot:
+    """Phase maxima of a set of centers, how many centers reach each, and
+    the center count.  A maximum over an empty class is 0; transverse
+    centers count towards ``center_count`` only.
+    """
+
     one_point_max: int
+    one_point_achievers: int
     two_point_max: int
+    two_point_achievers: int
     center_count: int
 
 
-@dataclass(frozen=True)
-class LocusReport:
-    """Every center through the active presentations, with global and per-chart maxima."""
-
-    centers: tuple[CenterRecord, ...]
-    one_point_max: int
-    two_point_max: int
-    charts: tuple[ChartReport, ...]
-
-    def is_empty(self) -> bool:
-        return not self.centers
-
-    def chart(self, index: int) -> ChartReport | None:
-        for report in self.charts:
-            if report.chart_index == index:
-                return report
-        return None
+def summarize(records: Sequence[CenterRecord]) -> Snapshot:
+    """The one place that takes maxima over center values."""
+    one = [r.value for r in records if r.form is Form.MONOMIAL_FREE]
+    two = [r.value for r in records if r.center.kind is CenterKind.PAIR]
+    one_max = max(one, default=0)
+    two_max = max(two, default=0)
+    return Snapshot(
+        one_point_max=one_max,
+        one_point_achievers=one.count(one_max) if one else 0,
+        two_point_max=two_max,
+        two_point_achievers=two.count(two_max) if two else 0,
+        center_count=len(records),
+    )
 
 
-def locus_report(entries: Iterable[tuple[int, MonomialPresentation]]) -> LocusReport:
-    """Aggregate the centers of the given (id, presentation) pairs.
+def locus_report(
+    entries: Iterable[tuple[int, MonomialPresentation]],
+) -> tuple[CenterRecord, ...]:
+    """Every center through the given (id, presentation) pairs.
 
-    Maxima are taken over the matching center class and default to 0 when
-    that class is empty.  Output ordering is deterministic: records sort by
-    (presentation id, center kind, indices).
+    Ordering is deterministic: records sort by (presentation id, center
+    kind, indices).
     """
     records: list[CenterRecord] = []
     for pid, p in entries:
@@ -160,24 +163,4 @@ def locus_report(entries: Iterable[tuple[int, MonomialPresentation]]) -> LocusRe
                 )
             )
     records.sort(key=CenterRecord.sort_key)
-
-    by_chart: dict[int, list[CenterRecord]] = {}
-    for record in records:
-        by_chart.setdefault(record.chart_index, []).append(record)
-
-    def maxima(recs: Sequence[CenterRecord]) -> tuple[int, int]:
-        one = max((r.value for r in recs if r.center.kind is CenterKind.FREE and r.form is Form.MONOMIAL_FREE), default=0)
-        two = max((r.value for r in recs if r.center.kind is CenterKind.PAIR), default=0)
-        return one, two
-
-    one_point_max, two_point_max = maxima(records)
-    charts = tuple(
-        ChartReport(index, *maxima(recs), center_count=len(recs))
-        for index, recs in sorted(by_chart.items())
-    )
-    return LocusReport(
-        centers=tuple(records),
-        one_point_max=one_point_max,
-        two_point_max=two_point_max,
-        charts=charts,
-    )
+    return tuple(records)

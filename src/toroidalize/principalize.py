@@ -36,7 +36,7 @@ from .forms import (
     MonomialPresentation,
     is_principal,
 )
-from .invariants import CenterRecord, LocusReport, locus_report
+from .invariants import CenterRecord, Snapshot, locus_report, summarize
 from .transform import Center, CenterKind, ChartPoint, blowup
 
 
@@ -64,17 +64,6 @@ class Entry:
     id: int
     presentation: MonomialPresentation
     active: bool
-
-
-@dataclass(frozen=True, slots=True)
-class Snapshot:
-    """Chart-scoped invariant state around a step, for descent verification."""
-
-    one_point_max: int
-    one_point_achievers: int
-    two_point_max: int
-    two_point_achievers: int
-    center_count: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +113,7 @@ class Scenario:
     __slots__ = (
         "n", "charts", "next_id",
         "_roots", "_log", "_size", "_base",
-        "_entries", "_history", "_locus", "_active", "_centers", "_by_id",
+        "_entries", "_history", "_active", "_centers",
     )
 
     def __init__(
@@ -219,14 +208,9 @@ class Scenario:
     def active_entries(self) -> tuple[Entry, ...]:
         return tuple(e for e in self.entries if e.active)
 
-    def active_pairs(self) -> tuple[tuple[int, MonomialPresentation], ...]:
-        return tuple((e.id, e.presentation) for e in self.entries if e.active)
-
-    def entry(self, pid: int) -> Entry:
-        return self._by_id[pid]
-
-    def locus(self) -> LocusReport:
-        return self._locus
+    def locus(self) -> tuple[CenterRecord, ...]:
+        """Every center through the active presentations, chart by chart."""
+        return tuple(r for chart in sorted(self._centers) for r in self._centers[chart])
 
 
 def _assign(obj: Scenario, **fields) -> None:
@@ -254,27 +238,23 @@ def _flatten(scenario: Scenario) -> tuple[Entry, ...]:
     return tuple(out)
 
 
-def _active_by_chart(scenario: Scenario) -> dict[int, tuple[Entry, ...]]:
-    grouped: dict[int, list[Entry]] = {}
-    for e in scenario.active_entries():
-        grouped.setdefault(e.presentation.context.chart_index, []).append(e)
-    return {chart: tuple(entries) for chart, entries in grouped.items()}
-
-
-def _centers_by_chart(scenario: Scenario) -> dict[int, tuple[CenterRecord, ...]]:
-    grouped: dict[int, list[CenterRecord]] = {}
-    for r in scenario.locus().centers:
-        grouped.setdefault(r.chart_index, []).append(r)
-    return {chart: tuple(records) for chart, records in grouped.items()}
+def _by_chart(items, chart_of) -> dict[int, tuple]:
+    grouped: dict[int, list] = {}
+    for item in items:
+        grouped.setdefault(chart_of(item), []).append(item)
+    return {chart: tuple(group) for chart, group in grouped.items()}
 
 
 _LAZY = {
     "_entries": _flatten,
     "_history": lambda s: Trace(tuple(s._log[: s._size])),
-    "_locus": lambda s: locus_report(s.active_pairs()),
-    "_active": _active_by_chart,
-    "_centers": _centers_by_chart,
-    "_by_id": lambda s: {e.id: e for e in s.entries},
+    "_active": lambda s: _by_chart(
+        s.active_entries(), lambda e: e.presentation.context.chart_index
+    ),
+    "_centers": lambda s: _by_chart(
+        locus_report((e.id, e.presentation) for e in s.active_entries()),
+        lambda r: r.chart_index,
+    ),
 }
 
 
@@ -326,33 +306,18 @@ def center_signature(p: MonomialPresentation, c: Center) -> tuple:
     return (chart, "pair", (p.column(c.i), p.column(c.j)))
 
 
-def _snapshot(records: tuple[CenterRecord, ...]) -> Snapshot:
-    free = [r.value for r in records if r.form is Form.MONOMIAL_FREE]
-    pair = [r.value for r in records if r.center.kind is CenterKind.PAIR]
-    one_max = max(free, default=0)
-    two_max = max(pair, default=0)
-    return Snapshot(
-        one_point_max=one_max,
-        one_point_achievers=free.count(one_max) if free else 0,
-        two_point_max=two_max,
-        two_point_achievers=pair.count(two_max) if pair else 0,
-        center_count=len(records),
-    )
-
-
 def _select_target(
-    on_divisor: bool, records: tuple[CenterRecord, ...]
+    on_divisor: bool, records: tuple[CenterRecord, ...], before: Snapshot
 ) -> tuple[Phase, CenterRecord]:
     if not on_divisor:
         return Phase.TRANSVERSE, min(records, key=CenterRecord.sort_key)
-    free = [r for r in records if r.form is Form.MONOMIAL_FREE]
-    if free:
-        best = max(r.value for r in free)
-        candidates = [r for r in free if r.value == best]
-        return Phase.ONE_POINT, min(candidates, key=CenterRecord.sort_key)
-    best = max(r.value for r in records)
-    candidates = [r for r in records if r.value == best]
-    return Phase.TWO_POINT, min(candidates, key=CenterRecord.sort_key)
+    # On the divisor every center is a free-coordinate or a pair center.
+    if before.one_point_achievers:
+        phase, best = Phase.ONE_POINT, before.one_point_max
+        records = tuple(r for r in records if r.form is Form.MONOMIAL_FREE)
+    else:
+        phase, best = Phase.TWO_POINT, before.two_point_max
+    return phase, min((r for r in records if r.value == best), key=CenterRecord.sort_key)
 
 
 def step(scenario: Scenario) -> Scenario:
@@ -371,7 +336,8 @@ def step(scenario: Scenario) -> Scenario:
     records = centers[chart]
     active = scenario._active[chart]
     by_id = {e.id: e.presentation for e in active}
-    phase, target = _select_target(scenario.charts[chart - 1], records)
+    before = summarize(records)
+    phase, target = _select_target(scenario.charts[chart - 1], records, before)
     signature = center_signature(by_id[target.presentation_id], target.center)
 
     # Records run in (id, center) order, so the first hit per id is the
@@ -420,7 +386,7 @@ def step(scenario: Scenario) -> Scenario:
     # Untouched presentations keep their centers.  New ids exceed every
     # old one, so the new records sort after the kept ones.
     kept = tuple(r for r in records if r.presentation_id not in matched)
-    new_records = kept + locus_report(born_active).centers
+    new_records = kept + locus_report(born_active)
     size = scenario._size
     trace_step = TraceStep(
         index=size,
@@ -430,8 +396,8 @@ def step(scenario: Scenario) -> Scenario:
         value=target.value,
         parents=tuple(parents),
         descendants=tuple(descendants),
-        before=_snapshot(records),
-        after=_snapshot(new_records),
+        before=before,
+        after=summarize(new_records),
     )
 
     # Successors share one log while they grow in a line.  A state reads
@@ -458,10 +424,31 @@ def _put(by_chart: dict, chart: int, items: tuple) -> None:
         by_chart.pop(chart, None)
 
 
+# Runs that need more steps than this are refused rather than attempted.
+BUDGET_CEILING = 10**6
+
+
 def default_budget(scenario: Scenario) -> int:
-    """Generous multiple of the observed descent bounds, still finite for CI."""
-    report = scenario.locus()
-    return 16 * (report.two_point_max + report.one_point_max + 1) * (len(scenario.entries) + 1)
+    """Generous multiple of the observed descent bounds, capped at
+    :data:`BUDGET_CEILING`."""
+    snap = summarize(scenario.locus())
+    budget = 16 * (snap.two_point_max + snap.one_point_max + 1) * (len(scenario.entries) + 1)
+    return min(budget, BUDGET_CEILING)
+
+
+def step_lower_bound(scenario: Scenario) -> int:
+    """The fewest steps :func:`run` can take: the largest sum of a_i - b_i
+    over one active free presentation u = x^a, v = x^b y.
+
+    A free blowup raises one b_i by 1 and leaves only its ``A_ORIGIN``
+    child in that shape, and a step blows up each presentation at most
+    once, so no step lowers a presentation's sum by more than 1.
+    """
+    sums: dict[int, int] = {}
+    for r in scenario.locus():
+        if r.form is Form.MONOMIAL_FREE:
+            sums[r.presentation_id] = sums.get(r.presentation_id, 0) + r.value
+    return max(sums.values(), default=0)
 
 
 def run(scenario: Scenario, max_steps: int) -> tuple[Scenario, Trace]:
@@ -470,10 +457,14 @@ def run(scenario: Scenario, max_steps: int) -> tuple[Scenario, Trace]:
     The policy sequence always terminates (each step strictly lowers the
     pair (phase maximum, number of centers achieving it) in the current
     chart), so a large enough budget always succeeds; when the budget runs
-    out first this raises :class:`StepBudgetExceededError`.
+    out first this raises :class:`StepBudgetExceededError`.  A run whose
+    :func:`step_lower_bound` already exceeds the budget fails before its
+    first step.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
+    if step_lower_bound(scenario) > max_steps:
+        raise StepBudgetExceededError(0, scenario)
     current = scenario
     steps = 0
     while current._centers:

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
+from . import forms
 from .descent import ClassifiedLeaf
-from .forms import ChartContext, Form, FormError, MonomialPresentation
-from .principalize import Scenario, Snapshot, TraceStep, make_scenario
+from .forms import ChartContext, Form, FormError, MonomialPresentation, TemplateKind
+from .invariants import Snapshot
+from .principalize import Scenario, TraceStep, make_scenario
 from .transform import Center
 
 
@@ -47,13 +50,9 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-_VALIDATORS: dict[str, jsonschema.Draft202012Validator] = {}
-
-
+@cache
 def _validator(name: str) -> jsonschema.Draft202012Validator:
-    if name not in _VALIDATORS:
-        _VALIDATORS[name] = jsonschema.Draft202012Validator(_load_schema(name))
-    return _VALIDATORS[name]
+    return jsonschema.Draft202012Validator(_load_schema(name))
 
 
 def _check_schema(doc, schema_name: str) -> None:
@@ -82,17 +81,22 @@ def presentation_to_doc(p: MonomialPresentation) -> dict:
         doc["power_v"] = p.power_v
     elif p.form is Form.TRANSVERSE_UNIT:
         doc["alpha_nonzero"] = p.alpha_nonzero
-    elif p.form in (Form.TRANSVERSE, Form.TRANSVERSE_PRODUCT):
-        pass
-    else:
+    elif p.form not in (Form.TRANSVERSE, Form.TRANSVERSE_PRODUCT):
         doc["u"] = list(p.u_row)
         doc["v"] = list(p.v_row)
     return doc
 
 
-def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> MonomialPresentation:
-    from . import forms
+# Shapes stored as their two exponent rows.
+_ROW_FORMS = {
+    Form.MONOMIAL_FREE: forms.monomial_free,
+    Form.NESTED: forms.nested,
+    Form.MONOMIAL_UNIT: forms.monomial_unit,
+    Form.MONOMIAL_PAIR: forms.monomial_pair,
+}
 
+
+def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> MonomialPresentation:
     chart = doc["chart"]
     if chart > len(charts):
         raise SchemaError(f"{path}.chart", f"chart {chart} not declared (only {len(charts)})")
@@ -107,14 +111,7 @@ def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> Mon
             return forms.transverse_unit(ctx, doc.get("alpha_nonzero", False))
         if form is Form.TRANSVERSE_PRODUCT:
             return forms.transverse_product(ctx)
-        u, v = tuple(doc["u"]), tuple(doc["v"])
-        if form is Form.MONOMIAL_FREE:
-            return forms.monomial_free(u, v, ctx)
-        if form is Form.NESTED:
-            return forms.nested(u, v, ctx)
-        if form is Form.MONOMIAL_UNIT:
-            return forms.monomial_unit(u, v, ctx)
-        return forms.monomial_pair(u, v, ctx)
+        return _ROW_FORMS[form](tuple(doc["u"]), tuple(doc["v"]), ctx)
     except FormError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -136,17 +133,21 @@ def _plan_from_doc(charts: tuple[bool, ...], doc: dict | None) -> RoundPlan:
     )
 
 
-def load_scenario_doc(path: str | Path) -> dict:
+def _load_json(path: str | Path, what: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise SchemaError("$", f"cannot read scenario file: {exc}") from exc
+        raise SchemaError("$", f"cannot read {what} file: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$ (line {exc.lineno})", f"invalid JSON: {exc.msg}") from exc
-    _check_schema(doc, "scenario.schema.json")
+    _check_schema(doc, f"{what}.schema.json")
     return doc
+
+
+def load_scenario_doc(path: str | Path) -> dict:
+    return _load_json(path, "scenario")
 
 
 def scenario_from_doc(doc: dict) -> tuple[Scenario, list[RoundPlan]]:
@@ -241,8 +242,6 @@ def step_to_doc(step: TraceStep) -> dict:
 def template_to_doc(template) -> dict | None:
     if template is None:
         return None
-    from .forms import TemplateKind
-
     doc = {"kind": template.kind.value}
     if template.kind is TemplateKind.FREE_COORDINATE:
         doc["row"] = list(template.row)
@@ -309,16 +308,7 @@ def trace_doc(scenario_doc: dict, rounds: list[dict]) -> dict:
 
 
 def load_trace(path: str | Path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError("$", f"cannot read trace file: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"$ (line {exc.lineno})", f"invalid JSON: {exc.msg}") from exc
-    _check_schema(doc, "trace.schema.json")
-    return doc
+    return _load_json(path, "trace")
 
 
 def write_trace(doc: dict, path: str | Path) -> None:

@@ -90,9 +90,6 @@ class DescendantSet:
     center: Center
     descendants: tuple[Descendant, ...]
 
-    def presentations(self) -> tuple[MonomialPresentation, ...]:
-        return tuple(d.presentation for d in self.descendants)
-
 
 def _bump(row: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
     return row[: i - 1] + (row[i - 1] + by,) + row[i:]
@@ -153,18 +150,9 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
             f"columns {i},{j} fail the sign criterion: ({a_i}-{b_i})({b_j}-{a_j}) <= 0"
         )
     ctx = p.context
-    sum_a, sum_b = a_i + a_j, b_i + b_j
-
-    def with_column(row: tuple[int, ...], pos: int, value: int) -> tuple[int, ...]:
-        return row[: pos - 1] + (value,) + row[pos:]
-
-    u_a = with_column(p.u_row, j, sum_a)
-    v_a = with_column(p.v_row, j, sum_b)
+    u_a, v_a = _bump(p.u_row, j, a_i), _bump(p.v_row, j, b_i)
     a_origin = monomial_pair(u_a, v_a, ctx)
-
-    u_b = with_column(p.u_row, i, sum_a)
-    v_b = with_column(p.v_row, i, sum_b)
-    b_origin = monomial_pair(u_b, v_b, ctx)
+    b_origin = monomial_pair(_bump(p.u_row, i, a_j), _bump(p.v_row, i, b_j), ctx)
 
     u_g = u_a[: i - 1] + u_a[i:]
     v_g = v_a[: i - 1] + v_a[i:]
@@ -182,18 +170,6 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
             Descendant(ChartPoint.B_ORIGIN, b_origin),
         ),
     )
-
-
-def blowup_monomial_pair_3pt(p: MonomialPresentation, c: Center) -> DescendantSet:
-    """Pair blowup at a point on three or more divisor components.
-
-    The substitution is identical to :func:`blowup_monomial_pair`; at a
-    generic exceptional point the untouched columns survive and the result
-    is a rank-2 pair unless every minor of the collapsed matrix vanishes.
-    """
-    if p.k < 3:
-        raise PermissibilityError("3-point pair blowup requires at least three columns")
-    return blowup_monomial_pair(p, c)
 
 
 def blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:

@@ -18,6 +18,7 @@ from .scenario_io import (
     presentation_from_doc,
     round_to_doc,
     scenario_from_doc,
+    trace_doc,
 )
 
 
@@ -244,10 +245,7 @@ def _replay(trace: dict) -> None:
             except FormError as exc:
                 raise VerificationError(round_index + 1, None, "reseed", str(exc)) from exc
 
-    summary = trace["summary"]
-    steps = sum(len(r["steps"]) for r in rounds)
-    leaves_total = sum(len(r["leaves"]) for r in rounds)
-    if summary != {"rounds": len(rounds), "steps": steps, "leaves": leaves_total}:
+    if trace["summary"] != trace_doc(trace["scenario"], rounds)["summary"]:
         raise VerificationError(0, None, "summary", "summary totals disagree with rounds")
 
 

@@ -79,6 +79,20 @@ def test_budget_exceeded_exits_3(tmp_path, capsys):
     assert report["kind"] == "budget"
 
 
+def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):
+    # u = x^(10^20) needs 10^20 one-point steps, far past the default budget
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "version": 1, "n": 2,
+        "charts": [{"q_in_divisor": True}],
+        "presentations": [{"chart": 1, "form": "monomial_free", "u": [10**20], "v": [0]}],
+    }))
+    assert main(["run", str(big), "-o", str(tmp_path / "t.json")]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "budget"
+    assert report["detail"]["steps"] == 0
+
+
 def test_classification_failure_exits_4(tmp_path, capsys):
     # a nested shape whose quotient is proportional to v cannot come from a
     # dominant morphism; it passes form validation but fails to lift

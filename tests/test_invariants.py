@@ -16,6 +16,7 @@ from toroidalize.invariants import (
     enumerate_centers,
     locus_report,
     one_point_invariant,
+    summarize,
     two_point_invariant,
 )
 from toroidalize.transform import Center, CenterKind
@@ -79,35 +80,39 @@ def test_center_value_uses_only_center_columns():
 
 
 def test_locus_report_examples():
-    report = locus_report([(0, monomial_pair((2, 0), (0, 3), DIV))])
-    assert (report.one_point_max, report.two_point_max) == (0, 6)
+    snap = summarize(locus_report([(0, monomial_pair((2, 0), (0, 3), DIV))]))
+    assert (snap.one_point_max, snap.two_point_max) == (0, 6)
 
-    report = locus_report(
-        [
-            (0, monomial_free((3,), (1,), DIV)),
-            (1, monomial_pair((1, 0), (0, 1), DIV)),
-        ]
+    snap = summarize(
+        locus_report(
+            [
+                (0, monomial_free((3,), (1,), DIV)),
+                (1, monomial_pair((1, 0), (0, 1), DIV)),
+            ]
+        )
     )
-    assert (report.one_point_max, report.two_point_max) == (2, 1)
+    assert (snap.one_point_max, snap.two_point_max) == (2, 1)
 
-    report = locus_report([])
-    assert report.is_empty()
-    assert (report.one_point_max, report.two_point_max) == (0, 0)
+    records = locus_report([])
+    assert not records
+    snap = summarize(records)
+    assert (snap.one_point_max, snap.two_point_max) == (0, 0)
 
 
 def test_locus_report_per_chart():
     other = monomial_free((4,), (1,), ChartContext(2, True))
-    report = locus_report([(0, monomial_pair((2, 0), (0, 3), DIV)), (1, other)])
-    chart1 = report.chart(1)
-    chart2 = report.chart(2)
+    records = locus_report([(0, monomial_pair((2, 0), (0, 3), DIV)), (1, other)])
+    chart1 = summarize([r for r in records if r.chart_index == 1])
+    chart2 = summarize([r for r in records if r.chart_index == 2])
     assert (chart1.one_point_max, chart1.two_point_max) == (0, 6)
     assert (chart2.one_point_max, chart2.two_point_max) == (3, 0)
 
 
 def test_transverse_center_carries_zero():
-    report = locus_report([(0, transverse(OFF))])
-    assert (report.one_point_max, report.two_point_max) == (0, 0)
-    assert len(report.centers) == 1
+    records = locus_report([(0, transverse(OFF))])
+    snap = summarize(records)
+    assert (snap.one_point_max, snap.two_point_max) == (0, 0)
+    assert len(records) == 1
 
 
 def test_centers_empty_iff_principal_small_grid():

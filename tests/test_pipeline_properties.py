@@ -12,11 +12,11 @@ from toroidalize.forms import (
     transverse,
 )
 from toroidalize.oracle import SearchBound, exhaustive_search
-from toroidalize.principalize import Scenario, make_scenario, run
+from toroidalize.principalize import Scenario, make_scenario, run, step, step_lower_bound
 from toroidalize.scenario_io import RoundPlan, scenario_to_doc
 from toroidalize.verify import verify_trace
 
-from conftest import try_pair
+from conftest import free_presentations, try_pair
 
 
 @st.composite
@@ -56,7 +56,7 @@ def test_policy_run_within_oracle_bounds(scenario):
     )
     final, trace = run(scenario, 256)
     assert result.min_depth <= len(trace.steps) <= result.max_depth
-    assert final.locus().is_empty()
+    assert not final.locus()
     assert all(is_principal(e.presentation) for e in final.entries)
 
 
@@ -66,7 +66,7 @@ def test_policy_run_always_terminates(scenario):
     # any column count: the max-first policy terminates even where free
     # center choice need not
     final, trace = run(scenario, 512)
-    assert final.locus().is_empty()
+    assert not final.locus()
     assert all(is_principal(e.presentation) for e in final.entries)
 
 
@@ -81,6 +81,43 @@ def test_final_state_passes_full_validation(scenario):
     )
     assert rebuilt.entries == final.entries
     assert rebuilt.locus() == final.locus()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(max_pair_k=2))
+def test_step_lower_bound_never_exceeds_a_real_run(scenario):
+    bound = step_lower_bound(scenario)
+    result = exhaustive_search(
+        [e.presentation for e in scenario.entries],
+        SearchBound(max_entry=16, max_k=4, max_depth=64),
+    )
+    _, trace = run(scenario, 256)
+    assert bound <= result.min_depth
+    assert bound <= len(trace.steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_presentations())
+def test_step_lower_bound_is_exact_for_one_free_presentation(p):
+    scenario = make_scenario(p.k + 1, (True,), [p])
+    _, trace = run(scenario, 256)
+    assert step_lower_bound(scenario) == len(trace.steps) == sum(a - b for a, b in p.columns())
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_incremental_centers_match_a_full_rebuild(scenario):
+    # step() keeps each chart's center records and enumerates centers only
+    # for new descendants; every state it passes through must hold the
+    # records a from-scratch enumeration of its active entries gives.
+    _, trace = run(scenario, 512)
+    s = scenario
+    for _ in range(len(trace.steps) + 1):
+        rebuilt = Scenario(n=s.n, charts=s.charts, entries=s.entries, next_id=s.next_id)
+        assert s.locus() == rebuilt.locus()
+        if s.locus():
+            s = step(s)
+    assert s.history == trace
 
 
 @settings(max_examples=40, deadline=None)

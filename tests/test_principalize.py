@@ -123,7 +123,7 @@ def test_run_euclid_terminates_within_oracle_depth():
     )
     final, trace = run(scenario, 64)
     assert result.min_depth <= len(trace.steps) <= result.max_depth
-    assert final.locus().is_empty()
+    assert not final.locus()
     assert all(is_principal(e.presentation) for e in final.entries)
     values = [s.value for s in trace.steps]
     assert values == [6, 2, 1]
@@ -151,7 +151,7 @@ def test_run_budget_exceeded():
     reached = info.value.scenario
     assert len(reached.history.steps) == info.value.steps == 1
     assert reached == step(euclid_scenario())
-    assert not reached.locus().is_empty()
+    assert reached.locus()
     with pytest.raises(AttributeError):
         reached.next_id = 0
 
@@ -265,4 +265,4 @@ def test_default_budget_positive_and_sufficient():
     budget = default_budget(scenario)
     assert budget >= 3
     final, trace = run(scenario, budget)
-    assert final.locus().is_empty()
+    assert not final.locus()

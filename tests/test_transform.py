@@ -21,7 +21,6 @@ from toroidalize.transform import (
     blowup,
     blowup_monomial_free,
     blowup_monomial_pair,
-    blowup_monomial_pair_3pt,
     blowup_transverse,
 )
 
@@ -113,7 +112,7 @@ def test_blowup_pair_orientation_symmetric():
 
 def test_blowup_pair_three_point_generic():
     p = monomial_pair((1, 2, 0), (0, 1, 1), DIV)
-    out = by_point(blowup_monomial_pair_3pt(p, Center(CenterKind.PAIR, 2, 3)))
+    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.MONOMIAL_PAIR
     assert (ag.u_row, ag.v_row) == ((1, 2), (0, 2))
@@ -122,7 +121,7 @@ def test_blowup_pair_three_point_generic():
 def test_blowup_pair_three_point_second_chart():
     # frozen by substitution bookkeeping: column 2 absorbs column 3
     p = monomial_pair((1, 2, 0), (0, 1, 1), DIV)
-    out = by_point(blowup_monomial_pair_3pt(p, Center(CenterKind.PAIR, 2, 3)))
+    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
     b = out[ChartPoint.B_ORIGIN]
     assert (b.u_row, b.v_row) == ((1, 2, 0), (0, 2, 1))
 
@@ -130,16 +129,10 @@ def test_blowup_pair_three_point_second_chart():
 def test_blowup_pair_three_point_degenerate_collapse():
     # frozen from the minor oracle: collapsed rows (1,2) | (1,2) have rank 1
     p = monomial_pair((1, 1, 1), (1, 0, 2), DIV)
-    out = by_point(blowup_monomial_pair_3pt(p, Center(CenterKind.PAIR, 2, 3)))
+    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.POWER_UNIT
     assert (ag.base, ag.power_u, ag.power_v) == ((1, 2), 1, 1)
-
-
-def test_blowup_pair_3pt_requires_three_columns():
-    p = monomial_pair((2, 0), (0, 3), DIV)
-    with pytest.raises(PermissibilityError):
-        blowup_monomial_pair_3pt(p, Center(CenterKind.PAIR, 1, 2))
 
 
 # -- transverse blowups ---------------------------------------------------------------
