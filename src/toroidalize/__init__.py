@@ -17,7 +17,6 @@ from .forms import (
     NotPrincipalError,
     TemplateKind,
     ToroidalTemplate,
-    classify_point,
     is_principal,
     match_template,
     monomial_free,
@@ -34,7 +33,6 @@ from .invariants import (
     center_value,
     enumerate_centers,
     locus_report,
-    one_point_invariant,
     summarize,
     two_point_invariant,
 )

@@ -339,16 +339,7 @@ def transverse_product(context: ChartContext) -> MonomialPresentation:
     return MonomialPresentation(Form.TRANSVERSE_PRODUCT, context, (1, 1), (0, 1))
 
 
-# -- point classification and principality ------------------------------------
-
-def classify_point(p: MonomialPresentation) -> int:
-    """Number of divisor components through the point.
-
-    Counts the stored variables carrying a positive exponent in the
-    divisor-defining monomial, i.e. columns with a_i + b_i > 0.
-    """
-    return sum(1 for a, b in p.columns() if a + b > 0)
-
+# -- principality ---------------------------------------------------------------
 
 def is_principal(p: MonomialPresentation) -> bool:
     """Whether the pulled-back pair (u, v) generates a principal ideal at p.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .forms import Form, FormError, MonomialPresentation, classify_point, is_principal
+from .forms import Form, FormError, MonomialPresentation, is_principal
 from .transform import Center, CenterKind
 
 
@@ -52,20 +52,6 @@ def enumerate_centers(p: MonomialPresentation) -> list[Center]:
     if p.form is Form.TRANSVERSE:
         return [Center(CenterKind.FREE, 1)]
     return []
-
-
-def one_point_invariant(p: MonomialPresentation) -> int:
-    """a - b at a 1-point u = x^a, v = x^b y with a > b.
-
-    Defined only for a single-column free-coordinate shape that is still
-    non-principal; this is the value the driver drives to zero first.
-    """
-    if p.form is not Form.MONOMIAL_FREE or classify_point(p) != 1 or p.k != 1:
-        raise FormError("1-point invariant needs a 1-point free-coordinate presentation")
-    a, b = p.column(1)
-    if a <= b:
-        raise FormError("1-point invariant undefined on a principal presentation")
-    return a - b
 
 
 def two_point_invariant(p: MonomialPresentation) -> int:

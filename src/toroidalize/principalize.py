@@ -19,15 +19,18 @@ the run can be re-verified independently.
 The cost of a step depends on the targeted chart's active presentations,
 never on the leaves.  A :class:`Scenario` keeps its active entries and
 their centers per chart; a step updates the targeted chart alone and
-enumerates centers only for the descendants it creates.  Descendants are
-stored once, in the append-only step log, and the flat entry list is
-built from that log only when someone asks for it.
+enumerates centers only for the descendants it creates.  Each state holds
+its history as an immutable chain of steps that its successor extends in
+constant time; descendants are stored once, in the steps that created
+them, and the flat entry list is built from the chain only when someone
+asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from functools import cached_property
 
 from .forms import (
     DIVISORIAL_FORMS,
@@ -102,19 +105,17 @@ class Scenario:
 
     Validation happens once, when input enters the system: constructing a
     ``Scenario`` checks every entry (unique ids below ``next_id``, chart
-    flags, dimension, and that active means non-principal).  :func:`step`
-    trusts its own output and checks only the descendants it creates.
+    flags, dimension, and that active means non-principal) and starts with
+    an empty history.  :func:`step` trusts its own output and checks only
+    the descendants it creates.
 
-    A scenario is immutable.  ``entries`` lists the presentations in
-    pre-order over the blowup tree: descendants sit at their parent's
-    position.  After a step it is built from the step log on first access.
+    A scenario is immutable and shares nothing mutable with another one.
+    Its history is a chain ``(parent_chain, step)`` ending in ``()``, so a
+    successor extends its parent's chain without copying it.  ``history``
+    and ``entries`` are built from that chain on first access; ``entries``
+    lists the presentations in pre-order over the blowup tree, descendants
+    at their parent's position.
     """
-
-    __slots__ = (
-        "n", "charts", "next_id",
-        "_roots", "_log", "_size", "_base",
-        "_entries", "_history", "_active", "_centers",
-    )
 
     def __init__(
         self,
@@ -122,82 +123,58 @@ class Scenario:
         charts: tuple[bool, ...],
         entries: tuple[Entry, ...],
         next_id: int,
-        history: Trace = Trace(),
     ) -> None:
-        entries = tuple(entries)
-        _assign(
-            self, n=n, charts=charts, next_id=next_id,
-            _roots=entries, _log=list(history.steps), _size=len(history.steps),
-            _base=len(history.steps), _entries=entries, _history=history,
+        roots, charts = tuple(entries), tuple(charts)
+        _validate(n, charts, roots, next_id)
+        active = [e for e in roots if e.active]
+        vars(self).update(
+            n=n, charts=charts, next_id=next_id, _roots=roots, _chain=(),
+            _active=_by_chart(active, lambda e: e.presentation.context.chart_index),
+            _centers=_by_chart(
+                locus_report((e.id, e.presentation) for e in active), lambda r: r.chart_index
+            ),
         )
-        self._validate()
 
     @classmethod
     def _successor(
         cls,
         parent: "Scenario",
         next_id: int,
-        log: list[TraceStep],
-        size: int,
+        trace_step: TraceStep,
         active: dict[int, tuple[Entry, ...]],
         centers: dict[int, tuple[CenterRecord, ...]],
     ) -> "Scenario":
         """The state after one step: trusted, so no entry is re-checked."""
         new = object.__new__(cls)
-        _assign(
-            new, n=parent.n, charts=parent.charts, next_id=next_id,
-            _roots=parent._roots, _log=log, _size=size, _base=parent._base,
-            _active=active, _centers=centers,
+        vars(new).update(
+            n=parent.n, charts=parent.charts, next_id=next_id, _roots=parent._roots,
+            _chain=(parent._chain, trace_step), _active=active, _centers=centers,
         )
         return new
-
-    def _validate(self) -> None:
-        if self.n < 2:
-            raise FormError(f"ambient dimension must be >= 2, got {self.n}")
-        if not self.charts:
-            raise FormError("scenario needs at least one chart")
-        seen: set[int] = set()
-        for entry in self._roots:
-            if entry.id in seen:
-                raise FormError(f"duplicate presentation id {entry.id}")
-            seen.add(entry.id)
-            if entry.id >= self.next_id:
-                raise FormError("next_id must exceed every existing id")
-            _check_entry(entry, is_principal(entry.presentation), self.n, self.charts)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __getattr__(self, name: str):
-        # Only reached for a slot not filled yet: a lazily derived view.
-        if name not in _LAZY:
-            raise AttributeError(name)
-        value = _LAZY[name](self)
-        object.__setattr__(self, name, value)
-        return value
-
-    @property
-    def entries(self) -> tuple[Entry, ...]:
-        return self._entries
-
-    @property
+    @cached_property
     def history(self) -> Trace:
-        return self._history
+        steps = []
+        link = self._chain
+        while link:
+            link, trace_step = link
+            steps.append(trace_step)
+        return Trace(tuple(reversed(steps)))
+
+    @cached_property
+    def entries(self) -> tuple[Entry, ...]:
+        return _flatten(self._roots, self.history.steps)
 
     def _key(self) -> tuple:
-        return (self.n, tuple(self.charts), self.entries, self.next_id, self.history)
+        return (self.n, self.charts, self.entries, self.next_id, self.history)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scenario):
             return NotImplemented
         return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        # Copies and pickles go back through the validating constructor.
-        return Scenario, (self.n, self.charts, self.entries, self.next_id, self.history)
 
     def __repr__(self) -> str:
         return (
@@ -205,29 +182,21 @@ class Scenario:
             f"next_id={self.next_id!r}, history={self.history!r})"
         )
 
-    def active_entries(self) -> tuple[Entry, ...]:
-        return tuple(e for e in self.entries if e.active)
-
     def locus(self) -> tuple[CenterRecord, ...]:
         """Every center through the active presentations, chart by chart."""
         return tuple(r for chart in sorted(self._centers) for r in self._centers[chart])
 
 
-def _assign(obj: Scenario, **fields) -> None:
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-
-
-def _flatten(scenario: Scenario) -> tuple[Entry, ...]:
+def _flatten(roots: tuple[Entry, ...], steps: tuple[TraceStep, ...]) -> tuple[Entry, ...]:
     """Pre-order over the blowup tree: each parent replaced by its descendants."""
     children: dict[int, list[Entry]] = {}
-    for s in scenario._log[scenario._base : scenario._size]:
+    for s in steps:
         for d in s.descendants:
             children.setdefault(d.parent_id, []).append(
                 Entry(d.id, d.presentation, active=not d.principal)
             )
     out: list[Entry] = []
-    pending = list(reversed(scenario._roots))
+    pending = list(reversed(roots))
     while pending:
         entry = pending.pop()
         kids = children.get(entry.id)
@@ -245,17 +214,19 @@ def _by_chart(items, chart_of) -> dict[int, tuple]:
     return {chart: tuple(group) for chart, group in grouped.items()}
 
 
-_LAZY = {
-    "_entries": _flatten,
-    "_history": lambda s: Trace(tuple(s._log[: s._size])),
-    "_active": lambda s: _by_chart(
-        s.active_entries(), lambda e: e.presentation.context.chart_index
-    ),
-    "_centers": lambda s: _by_chart(
-        locus_report((e.id, e.presentation) for e in s.active_entries()),
-        lambda r: r.chart_index,
-    ),
-}
+def _validate(n: int, charts: tuple[bool, ...], roots: tuple[Entry, ...], next_id: int) -> None:
+    if n < 2:
+        raise FormError(f"ambient dimension must be >= 2, got {n}")
+    if not charts:
+        raise FormError("scenario needs at least one chart")
+    seen: set[int] = set()
+    for entry in roots:
+        if entry.id in seen:
+            raise FormError(f"duplicate presentation id {entry.id}")
+        seen.add(entry.id)
+        if entry.id >= next_id:
+            raise FormError("next_id must exceed every existing id")
+        _check_entry(entry, is_principal(entry.presentation), n, charts)
 
 
 def _check_entry(entry: Entry, principal: bool, n: int, charts: tuple[bool, ...]) -> None:
@@ -387,9 +358,9 @@ def step(scenario: Scenario) -> Scenario:
     # old one, so the new records sort after the kept ones.
     kept = tuple(r for r in records if r.presentation_id not in matched)
     new_records = kept + locus_report(born_active)
-    size = scenario._size
+    chain = scenario._chain
     trace_step = TraceStep(
-        index=size,
+        index=chain[1].index + 1 if chain else 0,
         chart_index=chart,
         phase=phase,
         signature=signature,
@@ -399,22 +370,11 @@ def step(scenario: Scenario) -> Scenario:
         before=before,
         after=summarize(new_records),
     )
-
-    # Successors share one log while they grow in a line.  A state reads
-    # only its first ``_size`` steps, and slot ``_size`` is written once, so
-    # whoever lands there owns it; a second step from the same state (even
-    # a racing one) forks a copy instead.
-    log = scenario._log
-    log.append(trace_step)
-    if log[size] is not trace_step:
-        log = log[:size]
-        log.append(trace_step)
-
     new_active = dict(scenario._active)
     new_centers = dict(centers)
     _put(new_active, chart, tuple(still_active))
     _put(new_centers, chart, new_records)
-    return Scenario._successor(scenario, next_id, log, size + 1, new_active, new_centers)
+    return Scenario._successor(scenario, next_id, trace_step, new_active, new_centers)
 
 
 def _put(by_chart: dict, chart: int, items: tuple) -> None:

@@ -86,8 +86,6 @@ class Descendant:
 
 @dataclass(frozen=True)
 class DescendantSet:
-    parent: MonomialPresentation
-    center: Center
     descendants: tuple[Descendant, ...]
 
 
@@ -118,8 +116,6 @@ def blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
     a_generic = monomial_unit(p.u_row, v_up, ctx)
     b_origin = nested(p.u_row + (a_i,), v_up + (b_i,), ctx)
     return DescendantSet(
-        parent=p,
-        center=c,
         descendants=(
             Descendant(ChartPoint.A_ORIGIN, a_origin),
             Descendant(ChartPoint.A_GENERIC, a_generic),
@@ -162,8 +158,6 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
         a_generic = power_unit_from_rows(u_g, v_g, ctx)
 
     return DescendantSet(
-        parent=p,
-        center=c,
         descendants=(
             Descendant(ChartPoint.A_ORIGIN, a_origin),
             Descendant(ChartPoint.A_GENERIC, a_generic),
@@ -185,8 +179,6 @@ def blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:
         raise PermissibilityError(f"center {c} is not the transverse center x_1 = x_2 = 0")
     ctx = p.context
     return DescendantSet(
-        parent=p,
-        center=c,
         descendants=(
             Descendant(ChartPoint.A_ORIGIN, transverse_unit(ctx, alpha_nonzero=False)),
             Descendant(ChartPoint.A_GENERIC, transverse_unit(ctx, alpha_nonzero=True)),

@@ -27,3 +27,29 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"toroidalize.{m}"), a, None))
     ]
     assert missing == []
+
+
+def test_tracer_reads_every_result_it_counts(tmp_path, capsys):
+    # The tracer also reads attributes of what the traced calls return
+    # (``descendants``, ``states_explored``, the leaf list); run one small
+    # fixture through every verb with it installed.
+    tracing = _tracing_module()
+    names = ("cli", "descent", "forms", "invariants", "principalize", "scenario_io", "verify")
+    modules = {name: importlib.import_module(f"toroidalize.{name}") for name in names}
+    fixture = Path(__file__).resolve().parent / "fixtures" / "euclid.json"
+    trace = tmp_path / "euclid.trace.json"
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        cli = modules["cli"]
+        assert cli.main(["run", str(fixture), "-o", str(trace)]) == 0
+        assert cli.main(["verify", str(trace)]) == 0
+        assert cli.main(["oracle", str(fixture), "--depth", "32"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in ("descendants", "leaves", "states", "is_principal"):
+        assert tracer.counts[name] > 0, name
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts, trace.stat().st_size)
+    assert metrics["principalize.step.calls"] > 0
+    assert metrics["verify.replay.s"] > 0

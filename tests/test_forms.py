@@ -10,7 +10,6 @@ from toroidalize.forms import (
     MonomialPresentation,
     NoTemplateMatchError,
     TemplateKind,
-    classify_point,
     is_principal,
     match_template,
     monomial_free,
@@ -99,19 +98,6 @@ def test_negative_entries_rejected():
         monomial_pair((-1, 0), (0, 3), DIV)
 
 
-# -- classify_point --------------------------------------------------------------
-
-def test_classify_point_examples():
-    assert classify_point(monomial_pair((2, 0), (0, 3), DIV)) == 2
-    assert classify_point(monomial_free((3,), (1,), DIV)) == 1
-    assert classify_point(monomial_pair((1, 2, 0), (0, 1, 1), DIV)) == 3
-
-
-def test_classify_point_counts_divisor_columns():
-    assert classify_point(nested((3, 3), (2, 1), DIV)) == 2
-    assert classify_point(power_unit((1, 1, 1), 2, 1, DIV)) == 3
-
-
 # -- is_principal -----------------------------------------------------------------
 
 def test_principal_examples():
@@ -193,7 +179,9 @@ def test_random_valid_free_presentations(k, data):
     u = tuple(data.draw(st.integers(1, 6)) for _ in range(k))
     v = tuple(data.draw(st.integers(0, a)) for a in u)
     p = monomial_free(u, v, DIV)
-    assert 1 <= classify_point(p) <= k
+    # every column carries a divisor component through the point
+    assert len(p.columns()) == k
+    assert all(a + b > 0 for a, b in p.columns())
     assert is_principal(p) == (u == v)
 
 
@@ -208,7 +196,8 @@ def test_random_pair_data_validated(k, data):
     valid = all(a + b > 0 for a, b in zip(u, v)) and row_rank(u, v) == 2
     assert (p is not None) == valid
     if p is not None:
-        assert classify_point(p) == k
+        assert len(p.columns()) == k
+        assert all(a + b > 0 for a, b in p.columns())
         minors = [
             u[i] * v[j] - u[j] * v[i]
             for i, j in itertools.combinations(range(k), 2)

@@ -15,7 +15,6 @@ from toroidalize.invariants import (
     center_value,
     enumerate_centers,
     locus_report,
-    one_point_invariant,
     summarize,
     two_point_invariant,
 )
@@ -47,16 +46,18 @@ def test_enumerate_centers_transverse():
 
 
 def test_one_point_invariant_values():
-    assert one_point_invariant(monomial_free((3,), (1,), DIV)) == 2
-    assert one_point_invariant(monomial_free((5,), (0,), DIV)) == 5
-    assert one_point_invariant(monomial_free((4,), (3,), DIV)) == 1
+    # a free-coordinate center carries a - b, the 1-point invariant
+    for u, v, value in (((3,), (1,), 2), ((5,), (0,), 5), ((4,), (3,), 1)):
+        p = monomial_free(u, v, DIV)
+        assert [center_value(p, c) for c in enumerate_centers(p)] == [value]
 
 
 def test_one_point_invariant_domain_errors():
+    # a principal 1-point presentation carries no center at all
+    assert enumerate_centers(monomial_free((3,), (3,), DIV)) == []
+    # a pair center does not belong to a free-coordinate presentation
     with pytest.raises(FormError):
-        one_point_invariant(monomial_free((3,), (3,), DIV))
-    with pytest.raises(FormError):
-        one_point_invariant(monomial_free((3, 1), (1, 1), DIV))
+        center_value(monomial_free((3, 1), (1, 1), DIV), Center(CenterKind.PAIR, 1, 2))
 
 
 def test_two_point_invariant_values():

@@ -109,15 +109,22 @@ def test_step_lower_bound_is_exact_for_one_free_presentation(p):
 def test_incremental_centers_match_a_full_rebuild(scenario):
     # step() keeps each chart's center records and enumerates centers only
     # for new descendants; every state it passes through must hold the
-    # records a from-scratch enumeration of its active entries gives.
+    # records a from-scratch enumeration of its active entries gives.  The
+    # states are read only after the run ends, so a later step must leave
+    # every earlier state's views alone.
     _, trace = run(scenario, 512)
-    s = scenario
-    for _ in range(len(trace.steps) + 1):
+    states = [scenario]
+    while states[-1].locus():
+        states.append(step(states[-1]))
+    assert len(states) == len(trace.steps) + 1
+    roots = len(scenario.entries)
+    for i, s in enumerate(states):
+        prefix = trace.steps[:i]
+        assert s.history.steps == prefix
+        grown = sum(len(t.descendants) - len(t.parents) for t in prefix)
+        assert len(s.entries) == roots + grown
         rebuilt = Scenario(n=s.n, charts=s.charts, entries=s.entries, next_id=s.next_id)
         assert s.locus() == rebuilt.locus()
-        if s.locus():
-            s = step(s)
-    assert s.history == trace
 
 
 @settings(max_examples=40, deadline=None)

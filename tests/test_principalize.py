@@ -34,7 +34,7 @@ def euclid_scenario():
 
 def test_step_replaces_parent_with_descendants():
     after = step(euclid_scenario())
-    active = [(e.presentation.u_row, e.presentation.v_row) for e in after.active_entries()]
+    active = [(e.presentation.u_row, e.presentation.v_row) for e in after.entries if e.active]
     assert active == [((2, 2), (0, 3))]
     logged = [
         (e.presentation.form, e.presentation.u_row, e.presentation.v_row)
