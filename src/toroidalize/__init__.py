@@ -9,14 +9,12 @@ a toroidal template.
 """
 
 from .forms import (
-    ChartContext,
     Form,
     FormError,
     MonomialPresentation,
     NoTemplateMatchError,
     NotPrincipalError,
     TemplateKind,
-    ToroidalTemplate,
     is_principal,
     match_template,
     monomial_free,
@@ -60,7 +58,6 @@ from .principalize import (
 )
 from .descent import (
     ClassifiedLeaf,
-    EBranchData,
     LiftedPresentation,
     SurfaceChart,
     classify_global,

@@ -14,6 +14,10 @@ Leaves in transverse charts lift to a smooth pair; they match a template
 too once a branch of the target divisor passes through their image
 (the exceptional curve itself provides one whenever some chart's divisor
 contains the base point).
+
+The three toroidal templates are three of the presentation shapes, so a
+template is a presentation: a lifted leaf's presentation is its chart
+template, and the next round starts from it unchanged (``reseed``).
 """
 
 from __future__ import annotations
@@ -22,14 +26,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .forms import (
-    ChartContext,
     Form,
     FormError,
     MonomialPresentation,
     NoTemplateMatchError,
     NotPrincipalError,
     TemplateKind,
-    ToroidalTemplate,
     divides,
     is_principal,
     match_template,
@@ -63,44 +65,26 @@ class SurfaceChart(Enum):
 
 
 @dataclass(frozen=True)
-class EBranchData:
-    """How the target divisor meets the image point after the blowup.
+class LiftedPresentation:
+    """A leaf rewritten at its image point on the blown-up surface.
 
-    ``branch_count`` counts branches of the full divisor on the blown-up
-    surface (0 only when the image misses it entirely, possible for smooth
-    leaves); ``chart_branch_count`` counts branches of the presentation's
-    own chart divisor and must match what the lift computed.
+    ``kind`` names the template that ``presentation`` matches against its
+    own chart's ``own_branch_count`` divisor branches, and is None for a
+    smooth leaf; the presentation itself is the chart template.
     """
 
-    branch_count: int
-    chart_branch_count: int
-
-    def __post_init__(self) -> None:
-        if self.branch_count not in (0, 1, 2):
-            raise FormError("branch_count must be 0, 1 or 2")
-        if self.chart_branch_count not in (0, 1, 2):
-            raise FormError("chart_branch_count must be 0, 1 or 2")
-        if self.branch_count < self.chart_branch_count:
-            raise FormError("the full divisor cannot have fewer branches than the chart divisor")
-
-
-@dataclass(frozen=True)
-class LiftedPresentation:
-    """A leaf rewritten at its image point on the blown-up surface."""
-
-    source_id: int
     presentation: MonomialPresentation
     surface_chart: SurfaceChart
     own_branch_count: int
-    template: ToroidalTemplate | None
+    kind: TemplateKind | None
     note: str | None = None
 
     @property
     def smooth(self) -> bool:
-        return self.template is None
+        return self.kind is None
 
 
-def lift(p: MonomialPresentation, source_id: int = -1) -> LiftedPresentation:
+def lift(p: MonomialPresentation) -> LiftedPresentation:
     """Rewrite a principal presentation in parameters at its lifted image.
 
     The choice between u = u1, v = u1*v1 and u = u1*v1, v = v1 follows
@@ -110,44 +94,44 @@ def lift(p: MonomialPresentation, source_id: int = -1) -> LiftedPresentation:
     """
     if not is_principal(p):
         raise NotPrincipalError("lift is undefined before principalization completes")
-    ctx = p.context
+    c = p.chart_index
     form = p.form
     diff = tuple(a - b for a, b in p.columns())  # exponents of u / v
 
     if form is Form.MONOMIAL_FREE:
         # u = x^a, v = x^a * y: u1 = x^a, v1 = y.
-        lifted = monomial_free(p.u_row, (0,) * p.k, ctx)
-        return _lifted(source_id, lifted, SurfaceChart.U, own_branches=1)
+        lifted = monomial_free(p.u_row, (0,) * p.k, c)
+        return _lifted(lifted, SurfaceChart.U, own_branches=1)
 
     if form is Form.NESTED:
         if row_rank(diff, p.v_row) != 2:
             raise NoTemplateMatchError(
                 "nested shape with proportional quotient violates dominance"
             )
-        lifted = monomial_pair(diff, p.v_row, ctx)
-        return _lifted(source_id, lifted, SurfaceChart.V, own_branches=2)
+        lifted = monomial_pair(diff, p.v_row, c)
+        return _lifted(lifted, SurfaceChart.V, own_branches=2)
 
     if form is Form.MONOMIAL_UNIT:
         if p.u_row == p.v_row:
             # v = u * unit: interior image point, the shifted unit becomes the
             # fresh coordinate.
-            lifted = monomial_free(p.u_row, (0,) * p.k, ctx)
-            return _lifted(source_id, lifted, SurfaceChart.INTERIOR, own_branches=1)
+            lifted = monomial_free(p.u_row, (0,) * p.k, c)
+            return _lifted(lifted, SurfaceChart.INTERIOR, own_branches=1)
         if row_rank(diff, p.v_row) == 2:
-            lifted = monomial_pair(diff, p.v_row, ctx)
+            lifted = monomial_pair(diff, p.v_row, c)
         else:
-            lifted = power_unit_from_rows(diff, p.v_row, ctx)
-        return _lifted(source_id, lifted, SurfaceChart.V, own_branches=2)
+            lifted = power_unit_from_rows(diff, p.v_row, c)
+        return _lifted(lifted, SurfaceChart.V, own_branches=2)
 
     if form is Form.POWER_UNIT:
         if p.power_u < p.power_v:
-            lifted = power_unit(p.base, p.power_u, p.power_v - p.power_u, ctx)
-            return _lifted(source_id, lifted, SurfaceChart.U, own_branches=2)
+            lifted = power_unit(p.base, p.power_u, p.power_v - p.power_u, c)
+            return _lifted(lifted, SurfaceChart.U, own_branches=2)
         if p.power_u == p.power_v:
-            lifted = monomial_free(p.u_row, (0,) * p.k, ctx)
-            return _lifted(source_id, lifted, SurfaceChart.INTERIOR, own_branches=1)
-        lifted = power_unit(p.base, p.power_u - p.power_v, p.power_v, ctx)
-        return _lifted(source_id, lifted, SurfaceChart.V, own_branches=2)
+            lifted = monomial_free(p.u_row, (0,) * p.k, c)
+            return _lifted(lifted, SurfaceChart.INTERIOR, own_branches=1)
+        lifted = power_unit(p.base, p.power_u - p.power_v, p.power_v, c)
+        return _lifted(lifted, SurfaceChart.V, own_branches=2)
 
     if form is Form.MONOMIAL_PAIR:
         if divides(p.u_row, p.v_row):
@@ -156,93 +140,87 @@ def lift(p: MonomialPresentation, source_id: int = -1) -> LiftedPresentation:
         else:
             rows = (diff, p.v_row)
             chart = SurfaceChart.V
-        lifted = monomial_pair(rows[0], rows[1], ctx)
-        return _lifted(
-            source_id, lifted, chart, own_branches=2, note=COMPARABLE_PAIR_NOTE
-        )
+        lifted = monomial_pair(rows[0], rows[1], c)
+        return _lifted(lifted, chart, own_branches=2, note=COMPARABLE_PAIR_NOTE)
 
     if form in (Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT):
         chart = SurfaceChart.INTERIOR if form is Form.TRANSVERSE_UNIT else SurfaceChart.V
         if form is Form.TRANSVERSE_UNIT and not p.alpha_nonzero:
             chart = SurfaceChart.U
         return LiftedPresentation(
-            source_id=source_id,
-            presentation=transverse(ctx),
-            surface_chart=chart,
-            own_branch_count=0,
-            template=None,
+            presentation=transverse(c), surface_chart=chart, own_branch_count=0, kind=None
         )
 
     raise NotPrincipalError(f"form {form.value} does not lift")
 
 
 def _lifted(
-    source_id: int,
     presentation: MonomialPresentation,
     chart: SurfaceChart,
     own_branches: int,
     note: str | None = None,
 ) -> LiftedPresentation:
-    template = match_template(presentation, EBranchData(own_branches, own_branches))
     return LiftedPresentation(
-        source_id=source_id,
         presentation=presentation,
         surface_chart=chart,
         own_branch_count=own_branches,
-        template=template,
+        kind=match_template(presentation, own_branches),
         note=note,
     )
 
 
-def classify_global(l: LiftedPresentation, e: EBranchData) -> ToroidalTemplate | None:
+def classify_global(
+    l: LiftedPresentation, branches: int
+) -> tuple[TemplateKind, MonomialPresentation] | None:
     """Classify a lifted leaf against the full divisor on the blown-up surface.
 
-    When the branch counts agree the chart template stands.  When the image
-    is a 2-point of the full divisor but a 1-point of the chart divisor,
-    the second branch's equation extends the parameter system and the
-    free-coordinate template becomes a rank-2 pair.  Returns None only for
-    a smooth leaf whose image misses the divisor entirely.
+    ``branches`` counts the full divisor's branches at the image (0 only
+    when the image misses it entirely, possible for smooth leaves).  When
+    it equals the chart's own count the chart template stands.  When the
+    image is a 2-point of the full divisor but a 1-point of the chart
+    divisor, the second branch's equation extends the parameter system and
+    the free-coordinate template becomes a rank-2 pair.  Returns the
+    template's kind and presentation, or None only for a smooth leaf whose
+    image misses the divisor entirely.
     """
-    if e.chart_branch_count != l.own_branch_count:
-        raise FormError(
-            f"branch data says {e.chart_branch_count} chart branches, lift computed {l.own_branch_count}"
-        )
-    if l.template is None:
-        if e.branch_count == 0:
+    if branches not in (0, 1, 2):
+        raise FormError("branch_count must be 0, 1 or 2")
+    if branches < l.own_branch_count:
+        raise FormError("the full divisor cannot have fewer branches than the chart divisor")
+    c = l.presentation.chart_index
+    if l.kind is None:
+        if branches == 0:
             return None
-        if e.branch_count == 1:
+        if branches == 1:
             # Smooth pair with one divisor branch through the image: the branch
             # pulls back to a single coordinate.
-            return ToroidalTemplate(TemplateKind.FREE_COORDINATE, row=(1,))
-        return ToroidalTemplate(
-            TemplateKind.MONOMIAL_PAIR, u_row=(1, 0), v_row=(0, 1)
-        )
+            return TemplateKind.FREE_COORDINATE, monomial_free((1,), (0,), c)
+        return TemplateKind.MONOMIAL_PAIR, monomial_pair((1, 0), (0, 1), c)
 
-    if e.branch_count == l.own_branch_count:
-        return l.template
-    if l.template.kind is TemplateKind.FREE_COORDINATE and e.branch_count == 2:
-        row = l.template.row
-        return ToroidalTemplate(
-            TemplateKind.MONOMIAL_PAIR,
-            u_row=row + (0,),
-            v_row=(0,) * len(row) + (1,),
-        )
+    if branches == l.own_branch_count:
+        return l.kind, l.presentation
+    if l.kind is TemplateKind.FREE_COORDINATE and branches == 2:
+        row = l.presentation.u_row
+        return TemplateKind.MONOMIAL_PAIR, monomial_pair(row + (0,), (0,) * len(row) + (1,), c)
     raise NoTemplateMatchError(
-        f"{l.template.kind.value} template cannot meet {e.branch_count} divisor branches"
+        f"{l.kind.value} template cannot meet {branches} divisor branches"
     )
 
 
 @dataclass(frozen=True)
 class ClassifiedLeaf:
+    """A lifted leaf with its global template (``kind`` None when smooth)."""
+
     source_id: int
     chart_index: int
     lifted: LiftedPresentation
-    e_branches: EBranchData
-    template: ToroidalTemplate | None
+    e_branches: int
+    kind: TemplateKind | None
+    template: MonomialPresentation | None
 
     @property
     def outcome(self) -> str:
-        return self.template.kind.value if self.template else "smooth"
+        return self.kind.value if self.kind else "smooth"
 
 
 def default_branch_count(l: LiftedPresentation, scenario: Scenario, extra: bool) -> int:
@@ -276,21 +254,12 @@ def classify_scenario(
     overrides = branch_overrides or {}
     leaves: list[ClassifiedLeaf] = []
     for entry in scenario.entries:
-        lifted = lift(entry.presentation, source_id=entry.id)
-        chart = entry.presentation.context.chart_index
+        lifted = lift(entry.presentation)
+        chart = entry.presentation.chart_index
         extra = chart in extra_branch_charts
         count = overrides.get(entry.id, default_branch_count(lifted, scenario, extra))
-        branch_data = EBranchData(count, lifted.own_branch_count)
-        template = classify_global(lifted, branch_data)
-        leaves.append(
-            ClassifiedLeaf(
-                source_id=entry.id,
-                chart_index=chart,
-                lifted=lifted,
-                e_branches=branch_data,
-                template=template,
-            )
-        )
+        kind, template = classify_global(lifted, count) or (None, None)
+        leaves.append(ClassifiedLeaf(entry.id, chart, lifted, count, kind, template))
     return leaves
 
 
@@ -303,27 +272,17 @@ def reseed(
 
     The next point either lies on a chart's transformed divisor or not.
     If it does, exactly the leaves sitting on that divisor can meet its
-    fiber, and their chart templates are the new initial forms; if not,
-    the morphism is smooth over it and each leaf contributes a transverse
-    pair.
+    fiber, and their lifted presentations (the chart templates) are the new
+    initial forms; if not, the morphism is smooth over it and each leaf
+    contributes a transverse pair.
     """
     if len(next_charts) != len(scenario.charts):
         raise FormError("next round must describe the same charts")
     out: list[MonomialPresentation] = []
     for leaf in leaves:
-        on_divisor = next_charts[leaf.chart_index - 1]
-        ctx = ChartContext(leaf.chart_index, q_in_divisor=on_divisor)
-        if not on_divisor:
-            out.append(transverse(ctx))
-            continue
-        lifted = leaf.lifted
-        if lifted.template is None:
-            continue  # smooth leaf: its image avoids this chart's divisor
-        t = lifted.template
-        if t.kind is TemplateKind.FREE_COORDINATE:
-            out.append(monomial_free(t.row, (0,) * len(t.row), ctx))
-        elif t.kind is TemplateKind.POWER_UNIT:
-            out.append(power_unit(t.base, t.power_u, t.power_v, ctx))
-        else:
-            out.append(monomial_pair(t.u_row, t.v_row, ctx))
+        if not next_charts[leaf.chart_index - 1]:
+            out.append(transverse(leaf.chart_index))
+        elif not leaf.lifted.smooth:
+            # A smooth leaf's image avoids this chart's divisor.
+            out.append(leaf.lifted.presentation)
     return out

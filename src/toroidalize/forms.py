@@ -19,6 +19,9 @@ crossing divisor) plus at most one extra coordinate.  Eight shapes occur:
 
 The first five shapes occur at points whose base chart carries the target
 divisor through the base point; the last three occur where it does not.
+A presentation records only its chart's index: whether the base point lies
+on that chart's divisor is stored once, in ``Scenario.charts``, and
+:func:`check_chart` matches a shape's family against that flag.
 Exponents are arbitrary-precision non-negative integers, and field constants
 are never stored: the only fact any rule consumes is whether the shift
 ``alpha`` is zero, so it is kept as a boolean flag.
@@ -76,21 +79,12 @@ TRANSVERSE_FORMS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ChartContext:
-    """Which source/target chart a presentation is seen in.
-
-    ``chart_index`` is 1-based and stable under every blowup of a run.
-    ``q_in_divisor`` records whether the base point lies on this chart's
-    piece of the target divisor.
-    """
-
-    chart_index: int
-    q_in_divisor: bool
-
-    def __post_init__(self) -> None:
-        if self.chart_index < 1:
-            raise FormError(f"chart_index must be >= 1, got {self.chart_index}")
+def check_chart(form: Form, on_divisor: bool) -> None:
+    """A divisorial shape sits on a divisor chart, a transverse one off it."""
+    if form in DIVISORIAL_FORMS and not on_divisor:
+        raise FormError(f"{form.value} requires a chart with the base point on the divisor")
+    if form in TRANSVERSE_FORMS and on_divisor:
+        raise FormError(f"{form.value} requires a chart with the base point off the divisor")
 
 
 def validate_row(row: ExponentRow, *, what: str = "exponent row") -> None:
@@ -137,10 +131,12 @@ class MonomialPresentation:
     form tag.  For ``POWER_UNIT`` the canonical data is the primitive
     ``base`` row with the two powers, and ``u_row``/``v_row`` are the
     expanded products (kept explicit so column access is uniform).
+    ``chart_index`` is 1-based and stable under every blowup of a run; the
+    chart's divisor flag lives in ``Scenario.charts``.
     """
 
     form: Form
-    context: ChartContext
+    chart_index: int
     u_row: ExponentRow = ()
     v_row: ExponentRow = ()
     base: ExponentRow | None = None
@@ -149,16 +145,14 @@ class MonomialPresentation:
     alpha_nonzero: bool = False
 
     def __post_init__(self) -> None:
+        if self.chart_index < 1:
+            raise FormError(f"chart_index must be >= 1, got {self.chart_index}")
         validate_row(self.u_row, what="u_row")
         validate_row(self.v_row, what="v_row")
         if len(self.u_row) != len(self.v_row):
             raise FormError("u_row and v_row must have equal length")
         validator = _VALIDATORS[self.form]
         validator(self)
-        if self.form in DIVISORIAL_FORMS and not self.context.q_in_divisor:
-            raise FormError(f"{self.form.value} requires a chart with the base point on the divisor")
-        if self.form in TRANSVERSE_FORMS and self.context.q_in_divisor:
-            raise FormError(f"{self.form.value} requires a chart with the base point off the divisor")
 
     @property
     def k(self) -> int:
@@ -284,25 +278,25 @@ _VALIDATORS = {
 
 # -- convenience constructors -------------------------------------------------
 
-def monomial_free(u_row, v_row, context: ChartContext) -> MonomialPresentation:
-    return MonomialPresentation(Form.MONOMIAL_FREE, context, tuple(u_row), tuple(v_row))
+def monomial_free(u_row, v_row, chart_index: int) -> MonomialPresentation:
+    return MonomialPresentation(Form.MONOMIAL_FREE, chart_index, tuple(u_row), tuple(v_row))
 
 
-def nested(u_row, v_row, context: ChartContext) -> MonomialPresentation:
-    return MonomialPresentation(Form.NESTED, context, tuple(u_row), tuple(v_row))
+def nested(u_row, v_row, chart_index: int) -> MonomialPresentation:
+    return MonomialPresentation(Form.NESTED, chart_index, tuple(u_row), tuple(v_row))
 
 
-def monomial_unit(u_row, v_row, context: ChartContext) -> MonomialPresentation:
+def monomial_unit(u_row, v_row, chart_index: int) -> MonomialPresentation:
     return MonomialPresentation(
-        Form.MONOMIAL_UNIT, context, tuple(u_row), tuple(v_row), alpha_nonzero=True
+        Form.MONOMIAL_UNIT, chart_index, tuple(u_row), tuple(v_row), alpha_nonzero=True
     )
 
 
-def power_unit(base, power_u: int, power_v: int, context: ChartContext) -> MonomialPresentation:
+def power_unit(base, power_u: int, power_v: int, chart_index: int) -> MonomialPresentation:
     base = tuple(base)
     return MonomialPresentation(
         Form.POWER_UNIT,
-        context,
+        chart_index,
         tuple(power_u * g for g in base),
         tuple(power_v * g for g in base),
         base=base,
@@ -312,31 +306,31 @@ def power_unit(base, power_u: int, power_v: int, context: ChartContext) -> Monom
     )
 
 
-def power_unit_from_rows(u_row, v_row, context: ChartContext) -> MonomialPresentation:
+def power_unit_from_rows(u_row, v_row, chart_index: int) -> MonomialPresentation:
     """Canonical power-pair shape for two proportional nonzero rows."""
     gu, mu = primitive_part(tuple(u_row))
     gv, mv = primitive_part(tuple(v_row))
     if gu != gv:
         raise FormError("rows are not proportional, no common primitive base")
-    return power_unit(gu, mu, mv, context)
+    return power_unit(gu, mu, mv, chart_index)
 
 
-def monomial_pair(u_row, v_row, context: ChartContext) -> MonomialPresentation:
-    return MonomialPresentation(Form.MONOMIAL_PAIR, context, tuple(u_row), tuple(v_row))
+def monomial_pair(u_row, v_row, chart_index: int) -> MonomialPresentation:
+    return MonomialPresentation(Form.MONOMIAL_PAIR, chart_index, tuple(u_row), tuple(v_row))
 
 
-def transverse(context: ChartContext) -> MonomialPresentation:
-    return MonomialPresentation(Form.TRANSVERSE, context, (1, 0), (0, 1))
+def transverse(chart_index: int) -> MonomialPresentation:
+    return MonomialPresentation(Form.TRANSVERSE, chart_index, (1, 0), (0, 1))
 
 
-def transverse_unit(context: ChartContext, alpha_nonzero: bool) -> MonomialPresentation:
+def transverse_unit(chart_index: int, alpha_nonzero: bool) -> MonomialPresentation:
     return MonomialPresentation(
-        Form.TRANSVERSE_UNIT, context, (1,), (1,), alpha_nonzero=alpha_nonzero
+        Form.TRANSVERSE_UNIT, chart_index, (1,), (1,), alpha_nonzero=alpha_nonzero
     )
 
 
-def transverse_product(context: ChartContext) -> MonomialPresentation:
-    return MonomialPresentation(Form.TRANSVERSE_PRODUCT, context, (1, 1), (0, 1))
+def transverse_product(chart_index: int) -> MonomialPresentation:
+    return MonomialPresentation(Form.TRANSVERSE_PRODUCT, chart_index, (1, 1), (0, 1))
 
 
 # -- principality ---------------------------------------------------------------
@@ -370,52 +364,16 @@ class TemplateKind(Enum):
     MONOMIAL_PAIR = "monomial_pair"       # u = x^a, v = x^b, rank 2
 
 
-@dataclass(frozen=True)
-class ToroidalTemplate:
-    """A matched toroidal local model, with the exponent data that matched."""
-
-    kind: TemplateKind
-    row: ExponentRow = ()
-    base: ExponentRow = ()
-    power_u: int = 0
-    power_v: int = 0
-    u_row: ExponentRow = ()
-    v_row: ExponentRow = ()
-
-    def __post_init__(self) -> None:
-        if self.kind is TemplateKind.FREE_COORDINATE:
-            validate_row(self.row, what="row")
-            if not self.row or not all(e > 0 for e in self.row):
-                raise FormError("free_coordinate template requires positive entries")
-        elif self.kind is TemplateKind.POWER_UNIT:
-            validate_row(self.base, what="base")
-            if not self.base or not all(g > 0 for g in self.base):
-                raise FormError("power_unit template requires positive base entries")
-            if primitive_part(self.base)[1] != 1:
-                raise FormError("power_unit template base must be primitive")
-            if self.power_u < 1 or self.power_v < 1:
-                raise FormError("power_unit template powers must be positive")
-        elif self.kind is TemplateKind.MONOMIAL_PAIR:
-            validate_row(self.u_row, what="u_row")
-            validate_row(self.v_row, what="v_row")
-            if len(self.u_row) != len(self.v_row) or not self.u_row:
-                raise FormError("monomial_pair template rows must match and be nonempty")
-            if not all(a + b > 0 for a, b in zip(self.u_row, self.v_row)):
-                raise FormError("monomial_pair template requires a_i + b_i > 0")
-            if row_rank(self.u_row, self.v_row) != 2:
-                raise FormError("monomial_pair template requires rank 2")
-
-
-def match_template(p: MonomialPresentation, e_local) -> ToroidalTemplate:
+def match_template(p: MonomialPresentation, branches: int) -> TemplateKind:
     """Match a lifted local form against the toroidal templates.
 
-    ``e_local`` describes the target divisor at the image point: its
-    ``branch_count`` is 1 when a single branch passes through (cut by u
-    alone) and 2 when two branches do (cut by u and v together).  Matching
-    is purely structural on exponent data, rank and unit flags; a mismatch
-    raises ``NoTemplateMatchError``.
+    ``branches`` counts the target divisor's branches at the image point:
+    1 when a single branch passes through (cut by u alone) and 2 when two
+    branches do (cut by u and v together).  The three templates are three
+    of the shapes above, so a match only certifies the shape and the branch
+    count; the presentation itself is the template.  A mismatch raises
+    ``NoTemplateMatchError``.
     """
-    branches = e_local.branch_count
     if branches not in (1, 2):
         raise FormError(f"branch_count must be 1 or 2, got {branches}")
     if p.form is Form.MONOMIAL_FREE and not any(p.v_row):
@@ -423,15 +381,13 @@ def match_template(p: MonomialPresentation, e_local) -> ToroidalTemplate:
             raise NoTemplateMatchError(
                 "free-coordinate shape needs a single divisor branch at the image"
             )
-        return ToroidalTemplate(TemplateKind.FREE_COORDINATE, row=p.u_row)
+        return TemplateKind.FREE_COORDINATE
     if p.form is Form.POWER_UNIT:
         if branches != 2:
             raise NoTemplateMatchError("power-pair shape needs two divisor branches at the image")
-        return ToroidalTemplate(
-            TemplateKind.POWER_UNIT, base=p.base, power_u=p.power_u, power_v=p.power_v
-        )
+        return TemplateKind.POWER_UNIT
     if p.form is Form.MONOMIAL_PAIR:
         if branches != 2:
             raise NoTemplateMatchError("monomial-pair shape needs two divisor branches at the image")
-        return ToroidalTemplate(TemplateKind.MONOMIAL_PAIR, u_row=p.u_row, v_row=p.v_row)
+        return TemplateKind.MONOMIAL_PAIR
     raise NoTemplateMatchError(f"form {p.form.value} matches no toroidal template")

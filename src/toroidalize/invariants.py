@@ -142,7 +142,7 @@ def locus_report(
             records.append(
                 CenterRecord(
                     presentation_id=pid,
-                    chart_index=p.context.chart_index,
+                    chart_index=p.chart_index,
                     form=p.form,
                     center=c,
                     value=center_value(p, c),

@@ -190,7 +190,7 @@ def raw_state(presentations: Iterable[MonomialPresentation]) -> State:
     points = []
     for p in presentations:
         cols = tuple(sorted(p.columns()))
-        points.append(RawPoint(p.context.chart_index, cols, p.form is Form.MONOMIAL_FREE))
+        points.append(RawPoint(p.chart_index, cols, p.form is Form.MONOMIAL_FREE))
     return _canonical(points)
 
 

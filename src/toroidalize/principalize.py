@@ -129,7 +129,7 @@ class Scenario:
         active = [e for e in roots if e.active]
         vars(self).update(
             n=n, charts=charts, next_id=next_id, _roots=roots, _chain=(),
-            _active=_by_chart(active, lambda e: e.presentation.context.chart_index),
+            _active=_by_chart(active, lambda e: e.presentation.chart_index),
             _centers=_by_chart(
                 locus_report((e.id, e.presentation) for e in active), lambda r: r.chart_index
             ),
@@ -231,10 +231,10 @@ def _validate(n: int, charts: tuple[bool, ...], roots: tuple[Entry, ...], next_i
 
 def _check_entry(entry: Entry, principal: bool, n: int, charts: tuple[bool, ...]) -> None:
     p = entry.presentation
-    idx = p.context.chart_index
+    idx = p.chart_index
     if idx > len(charts):
         raise FormError(f"presentation {entry.id} references missing chart {idx}")
-    if p.context.q_in_divisor != charts[idx - 1]:
+    if (p.form in DIVISORIAL_FORMS) != charts[idx - 1]:
         raise FormError(
             f"presentation {entry.id} disagrees with chart {idx} about the base point"
         )
@@ -269,7 +269,7 @@ def make_scenario(
 def center_signature(p: MonomialPresentation, c: Center) -> tuple:
     """Chart-level identity of a center: presentations carrying equal
     signatures are treated as lying on one subvariety."""
-    chart = p.context.chart_index
+    chart = p.chart_index
     if p.form is Form.TRANSVERSE:
         return (chart, "transverse", ())
     if c.kind is CenterKind.FREE:

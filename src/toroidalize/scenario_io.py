@@ -18,7 +18,7 @@ import jsonschema
 
 from . import forms
 from .descent import ClassifiedLeaf
-from .forms import ChartContext, Form, FormError, MonomialPresentation, TemplateKind
+from .forms import Form, FormError, MonomialPresentation, TemplateKind, check_chart
 from .invariants import Snapshot
 from .principalize import Scenario, TraceStep, make_scenario
 from .transform import Center
@@ -74,7 +74,7 @@ def canonical_dumps(doc) -> str:
 # -- presentations ---------------------------------------------------------------
 
 def presentation_to_doc(p: MonomialPresentation) -> dict:
-    doc: dict = {"form": p.form.value, "chart": p.context.chart_index}
+    doc: dict = {"form": p.form.value, "chart": p.chart_index}
     if p.form is Form.POWER_UNIT:
         doc["base"] = list(p.base)
         doc["power_u"] = p.power_u
@@ -100,20 +100,23 @@ def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> Mon
     chart = doc["chart"]
     if chart > len(charts):
         raise SchemaError(f"{path}.chart", f"chart {chart} not declared (only {len(charts)})")
-    ctx = ChartContext(chart, q_in_divisor=charts[chart - 1])
     form = Form(doc["form"])
     try:
         if form is Form.POWER_UNIT:
-            return forms.power_unit(doc["base"], doc["power_u"], doc["power_v"], ctx)
-        if form is Form.TRANSVERSE:
-            return forms.transverse(ctx)
-        if form is Form.TRANSVERSE_UNIT:
-            return forms.transverse_unit(ctx, doc.get("alpha_nonzero", False))
-        if form is Form.TRANSVERSE_PRODUCT:
-            return forms.transverse_product(ctx)
-        return _ROW_FORMS[form](tuple(doc["u"]), tuple(doc["v"]), ctx)
+            p = forms.power_unit(doc["base"], doc["power_u"], doc["power_v"], chart)
+        elif form is Form.TRANSVERSE:
+            p = forms.transverse(chart)
+        elif form is Form.TRANSVERSE_UNIT:
+            p = forms.transverse_unit(chart, doc.get("alpha_nonzero", False))
+        elif form is Form.TRANSVERSE_PRODUCT:
+            p = forms.transverse_product(chart)
+        else:
+            p = _ROW_FORMS[form](tuple(doc["u"]), tuple(doc["v"]), chart)
+        # After construction, so a malformed shape is reported first.
+        check_chart(form, charts[chart - 1])
     except FormError as exc:
         raise SchemaError(path, str(exc)) from exc
+    return p
 
 
 # -- scenario files ----------------------------------------------------------------
@@ -239,13 +242,13 @@ def step_to_doc(step: TraceStep) -> dict:
     }
 
 
-def template_to_doc(template) -> dict | None:
-    if template is None:
+def template_to_doc(kind: TemplateKind | None, template: MonomialPresentation | None) -> dict | None:
+    if kind is None:
         return None
-    doc = {"kind": template.kind.value}
-    if template.kind is TemplateKind.FREE_COORDINATE:
-        doc["row"] = list(template.row)
-    elif template.kind is TemplateKind.POWER_UNIT:
+    doc = {"kind": kind.value}
+    if kind is TemplateKind.FREE_COORDINATE:
+        doc["row"] = list(template.u_row)
+    elif kind is TemplateKind.POWER_UNIT:
         doc["base"] = list(template.base)
         doc["power_u"] = template.power_u
         doc["power_v"] = template.power_v
@@ -262,8 +265,8 @@ def leaf_to_doc(leaf: ClassifiedLeaf) -> dict:
         "outcome": leaf.outcome,
         "surface_chart": leaf.lifted.surface_chart.value,
         "own_branches": leaf.lifted.own_branch_count,
-        "e_branches": leaf.e_branches.branch_count,
-        "template": template_to_doc(leaf.template),
+        "e_branches": leaf.e_branches,
+        "template": template_to_doc(leaf.kind, leaf.template),
         "note": leaf.lifted.note,
     }
 

@@ -110,11 +110,10 @@ def blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
     a_i, b_i = p.column(i)
     if b_i >= a_i:
         raise PermissibilityError(f"column {i} has b_i = a_i = {a_i}: center misses the locus")
-    ctx = p.context
     v_up = _bump(p.v_row, i)
-    a_origin = monomial_free(p.u_row, v_up, ctx)
-    a_generic = monomial_unit(p.u_row, v_up, ctx)
-    b_origin = nested(p.u_row + (a_i,), v_up + (b_i,), ctx)
+    a_origin = monomial_free(p.u_row, v_up, p.chart_index)
+    a_generic = monomial_unit(p.u_row, v_up, p.chart_index)
+    b_origin = nested(p.u_row + (a_i,), v_up + (b_i,), p.chart_index)
     return DescendantSet(
         descendants=(
             Descendant(ChartPoint.A_ORIGIN, a_origin),
@@ -145,17 +144,16 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
         raise PermissibilityError(
             f"columns {i},{j} fail the sign criterion: ({a_i}-{b_i})({b_j}-{a_j}) <= 0"
         )
-    ctx = p.context
     u_a, v_a = _bump(p.u_row, j, a_i), _bump(p.v_row, j, b_i)
-    a_origin = monomial_pair(u_a, v_a, ctx)
-    b_origin = monomial_pair(_bump(p.u_row, i, a_j), _bump(p.v_row, i, b_j), ctx)
+    a_origin = monomial_pair(u_a, v_a, p.chart_index)
+    b_origin = monomial_pair(_bump(p.u_row, i, a_j), _bump(p.v_row, i, b_j), p.chart_index)
 
     u_g = u_a[: i - 1] + u_a[i:]
     v_g = v_a[: i - 1] + v_a[i:]
     if row_rank(u_g, v_g) == 2:
-        a_generic = monomial_pair(u_g, v_g, ctx)
+        a_generic = monomial_pair(u_g, v_g, p.chart_index)
     else:
-        a_generic = power_unit_from_rows(u_g, v_g, ctx)
+        a_generic = power_unit_from_rows(u_g, v_g, p.chart_index)
 
     return DescendantSet(
         descendants=(
@@ -177,12 +175,11 @@ def blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:
         raise PermissibilityError(f"transverse blowup applies to transverse, not {p.form.value}")
     if c.kind is not CenterKind.FREE or c.i != 1:
         raise PermissibilityError(f"center {c} is not the transverse center x_1 = x_2 = 0")
-    ctx = p.context
     return DescendantSet(
         descendants=(
-            Descendant(ChartPoint.A_ORIGIN, transverse_unit(ctx, alpha_nonzero=False)),
-            Descendant(ChartPoint.A_GENERIC, transverse_unit(ctx, alpha_nonzero=True)),
-            Descendant(ChartPoint.B_ORIGIN, transverse_product(ctx)),
+            Descendant(ChartPoint.A_ORIGIN, transverse_unit(p.chart_index, alpha_nonzero=False)),
+            Descendant(ChartPoint.A_GENERIC, transverse_unit(p.chart_index, alpha_nonzero=True)),
+            Descendant(ChartPoint.B_ORIGIN, transverse_product(p.chart_index)),
         ),
     )
 

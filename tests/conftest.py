@@ -1,28 +1,13 @@
 import itertools
 
-import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from toroidalize.forms import (
-    ChartContext,
     FormError,
     monomial_free,
     monomial_pair,
 )
-
-DIV = ChartContext(1, True)
-OFF = ChartContext(1, False)
-
-
-@pytest.fixture
-def div_ctx():
-    return DIV
-
-
-@pytest.fixture
-def off_ctx():
-    return OFF
 
 
 def column_grid(max_entry, k):
@@ -34,16 +19,16 @@ def column_grid(max_entry, k):
         yield u, v
 
 
-def try_pair(u, v, ctx=DIV):
+def try_pair(u, v, chart=1):
     try:
-        return monomial_pair(u, v, ctx)
+        return monomial_pair(u, v, chart)
     except FormError:
         return None
 
 
-def try_free(u, v, ctx=DIV):
+def try_free(u, v, chart=1):
     try:
-        return monomial_free(u, v, ctx)
+        return monomial_free(u, v, chart)
     except FormError:
         return None
 
@@ -65,4 +50,4 @@ def free_presentations(draw, max_entry=6, max_k=4):
     k = draw(st.integers(1, max_k))
     u = tuple(draw(st.integers(1, max_entry)) for _ in range(k))
     v = tuple(draw(st.integers(0, a)) for a in u)
-    return monomial_free(u, v, DIV)
+    return monomial_free(u, v, 1)

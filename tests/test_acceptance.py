@@ -15,7 +15,6 @@ from pathlib import Path
 
 from toroidalize.cli import main
 from toroidalize.forms import (
-    ChartContext,
     Form,
     FormError,
     is_principal,
@@ -28,7 +27,6 @@ from toroidalize.principalize import Phase, make_scenario, run
 from toroidalize.scenario_io import canonical_dumps
 from toroidalize.transform import blowup
 
-DIV = ChartContext(1, True)
 FIXTURES = Path(__file__).parent / "fixtures"
 TEMPLATES = {"free_coordinate", "power_unit", "monomial_pair"}
 
@@ -46,7 +44,7 @@ def grid_pairs(max_entry, k):
         u = tuple(a for a, _ in combo)
         v = tuple(b for _, b in combo)
         try:
-            monomial_pair(u, v, DIV)
+            monomial_pair(u, v, 1)
         except FormError:
             continue
         out.append((u, v))
@@ -72,7 +70,7 @@ def grid_frees(max_entry, k):
 def test_criterion_1_one_point_exact_drop():
     for a in range(2, 9):
         for b in range(1, a):
-            scenario = make_scenario(3, (True,), [monomial_free((a,), (b,), DIV)])
+            scenario = make_scenario(3, (True,), [monomial_free((a,), (b,), 1)])
             final, trace = run(scenario, 64)
             assert len(trace.steps) == a - b, (a, b)
             assert [s.value for s in trace.steps] == list(range(a - b, 0, -1))
@@ -89,7 +87,7 @@ def test_criterion_2_two_point_strict_descent():
     for data in itertools.product(range(6), repeat=4):
         a1, b1, a2, b2 = data
         try:
-            p = monomial_pair((a1, a2), (b1, b2), DIV)
+            p = monomial_pair((a1, a2), (b1, b2), 1)
         except FormError:
             continue
         if is_principal(p):
@@ -118,12 +116,12 @@ def test_criterion_3_oracle_equivalence():
     cases = 0
     for k in (2, 3, 4):
         for u, v in grid_pairs(6, k):
-            p = monomial_pair(u, v, DIV)
+            p = monomial_pair(u, v, 1)
             assert is_principal(p) == oracle_principal(u, v), (u, v)
             cases += 1
     for k in (1, 2, 3, 4):
         for u, v in grid_frees(6, k):
-            p = monomial_free(u, v, DIV)
+            p = monomial_free(u, v, 1)
             assert is_principal(p) == oracle_principal(u, v, v_free=True), (u, v)
             cases += 1
     assert cases >= 100_000
@@ -138,7 +136,7 @@ def test_criterion_4_closure_of_form_families():
     descendants_checked = 0
     for k in (2, 3, 4):
         for u, v in grid_pairs(6, k):
-            p = monomial_pair(u, v, DIV)
+            p = monomial_pair(u, v, 1)
             for c in enumerate_centers(p):
                 for d in blowup(p, c).descendants:
                     assert d.presentation.form in allowed[Form.MONOMIAL_PAIR]
@@ -147,7 +145,7 @@ def test_criterion_4_closure_of_form_families():
                     descendants_checked += 1
     for k in (1, 2, 3, 4):
         for u, v in grid_frees(6, k):
-            p = monomial_free(u, v, DIV)
+            p = monomial_free(u, v, 1)
             for c in enumerate_centers(p):
                 for d in blowup(p, c).descendants:
                     assert d.presentation.form in allowed[Form.MONOMIAL_FREE]

@@ -3,7 +3,7 @@ elsewhere in the suite was computed by these."""
 
 import pytest
 
-from toroidalize.forms import ChartContext, monomial_free, monomial_pair, transverse
+from toroidalize.forms import monomial_free, monomial_pair, transverse
 from toroidalize.oracle import (
     BoundExceededError,
     SearchBound,
@@ -12,8 +12,6 @@ from toroidalize.oracle import (
     oracle_rank,
 )
 
-DIV = ChartContext(1, True)
-OFF = ChartContext(1, False)
 
 
 def test_oracle_principal_incomparable():
@@ -48,34 +46,34 @@ def test_search_bound_validation():
 
 
 def test_search_euclid_all_paths():
-    p = monomial_pair((2, 0), (0, 3), DIV)
+    p = monomial_pair((2, 0), (0, 3), 1)
     result = exhaustive_search([p], SearchBound(max_entry=8, max_k=4, max_depth=32))
     assert result.all_terminate
     assert (result.min_depth, result.max_depth) == (3, 3)
 
 
 def test_search_transverse_single_step():
-    result = exhaustive_search([transverse(OFF)], SearchBound(4, 4, 2))
+    result = exhaustive_search([transverse(1)], SearchBound(4, 4, 2))
     assert (result.min_depth, result.max_depth) == (1, 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_search_free_ladder_exact_steps(k):
     # u = x^k, v = y: the single path raises the v-exponent once per step
-    p = monomial_free((k,), (0,), DIV)
+    p = monomial_free((k,), (0,), 1)
     result = exhaustive_search([p], SearchBound(max_entry=8, max_k=4, max_depth=k + 1))
     assert (result.min_depth, result.max_depth) == (k, k)
 
 
 def test_search_depth_exceeded():
-    p = monomial_pair((2, 0), (0, 3), DIV)
+    p = monomial_pair((2, 0), (0, 3), 1)
     with pytest.raises(BoundExceededError):
         exhaustive_search([p], SearchBound(8, 4, 1))
 
 
 def test_search_depth_boundary_is_inclusive():
     # paths of length exactly max_depth are admissible
-    p = monomial_pair((2, 0), (0, 3), DIV)
+    p = monomial_pair((2, 0), (0, 3), 1)
     result = exhaustive_search([p], SearchBound(8, 4, 3))
     assert (result.min_depth, result.max_depth) == (3, 3)
     with pytest.raises(BoundExceededError):
@@ -83,7 +81,7 @@ def test_search_depth_boundary_is_inclusive():
 
 
 def test_search_principal_scenario_is_trivial():
-    p = monomial_pair((1, 1), (2, 3), DIV)
+    p = monomial_pair((1, 1), (2, 3), 1)
     result = exhaustive_search([p], SearchBound(8, 4, 4))
     assert (result.min_depth, result.max_depth) == (0, 0)
 
@@ -95,7 +93,7 @@ def test_free_center_order_can_wander_forever():
     # maximal-value policy is what forces termination.
     from toroidalize.principalize import make_scenario, run
 
-    p = monomial_pair((0, 0, 0, 3), (3, 3, 2, 0), DIV)
+    p = monomial_pair((0, 0, 0, 3), (3, 3, 2, 0), 1)
     scenario = make_scenario(5, (True,), [p])
     final, trace = run(scenario, 64)
     assert [s.value for s in trace.steps] == [9, 9, 6, 2, 1]
@@ -105,6 +103,6 @@ def test_free_center_order_can_wander_forever():
 
 
 def test_search_rejects_out_of_bound_input():
-    p = monomial_pair((9, 0), (0, 3), DIV)
+    p = monomial_pair((9, 0), (0, 3), 1)
     with pytest.raises(ValueError):
         exhaustive_search([p], SearchBound(max_entry=8, max_k=4, max_depth=8))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from toroidalize.cli import run_pipeline
 from toroidalize.forms import (
-    ChartContext,
     is_principal,
     monomial_free,
     transverse,
@@ -25,20 +24,19 @@ def scenarios(draw, max_entry=3, max_presentations=3, max_pair_k=3):
     presentations = []
     budget = draw(st.integers(1, max_presentations))
     for index, on_divisor in enumerate(chart_flags, start=1):
-        ctx = ChartContext(index, on_divisor)
         for _ in range(draw(st.integers(0, budget))):
             if not on_divisor:
-                presentations.append(transverse(ctx))
+                presentations.append(transverse(index))
             elif draw(st.booleans()):
                 k = draw(st.integers(1, 3))
                 u = tuple(draw(st.integers(1, max_entry)) for _ in range(k))
                 v = tuple(draw(st.integers(0, a)) for a in u)
-                presentations.append(monomial_free(u, v, ctx))
+                presentations.append(monomial_free(u, v, index))
             else:
                 k = draw(st.integers(2, max_pair_k))
                 u = tuple(draw(st.integers(0, max_entry)) for _ in range(k))
                 v = tuple(draw(st.integers(0, max_entry)) for _ in range(k))
-                p = try_pair(u, v, ctx)
+                p = try_pair(u, v, index)
                 assume(p is not None)
                 presentations.append(p)
     assume(presentations)

@@ -4,7 +4,6 @@ import pytest
 
 from toroidalize import principalize
 from toroidalize.forms import (
-    ChartContext,
     Form,
     FormError,
     is_principal,
@@ -25,11 +24,10 @@ from toroidalize.principalize import (
     step,
 )
 
-DIV = ChartContext(1, True)
 
 
 def euclid_scenario():
-    return make_scenario(3, (True,), [monomial_pair((2, 0), (0, 3), DIV)])
+    return make_scenario(3, (True,), [monomial_pair((2, 0), (0, 3), 1)])
 
 
 def test_step_replaces_parent_with_descendants():
@@ -61,7 +59,7 @@ def test_step_is_pure():
     scenario = make_scenario(
         4,
         (True,),
-        [monomial_pair((2, 0), (0, 3), DIV), monomial_free((3,), (1,), DIV)],
+        [monomial_pair((2, 0), (0, 3), 1), monomial_free((3,), (1,), 1)],
     )
     entries, next_id = scenario.entries, scenario.next_id
     first = step(scenario)
@@ -89,7 +87,7 @@ def _counted_ladder(monkeypatch, n):
 
         return wrapper
 
-    scenario = make_scenario(2, (True,), [monomial_free((n,), (0,), DIV)])
+    scenario = make_scenario(2, (True,), [monomial_free((n,), (0,), 1)])
     with monkeypatch.context() as m:
         for name in ("is_principal", "locus_report"):
             m.setattr(principalize, name, counting(name, getattr(principalize, name)))
@@ -111,7 +109,7 @@ def test_step_work_does_not_grow_with_leaf_count(monkeypatch):
 
 
 def test_step_requires_a_center():
-    scenario = make_scenario(3, (True,), [monomial_pair((1, 1), (2, 3), DIV)])
+    scenario = make_scenario(3, (True,), [monomial_pair((1, 1), (2, 3), 1)])
     with pytest.raises(NoCenterError):
         step(scenario)
 
@@ -130,7 +128,7 @@ def test_run_euclid_terminates_within_oracle_depth():
 
 
 def test_run_single_unit_drop():
-    scenario = make_scenario(3, (True,), [monomial_free((1,), (0,), DIV)])
+    scenario = make_scenario(3, (True,), [monomial_free((1,), (0,), 1)])
     final, trace = run(scenario, 4)
     assert len(trace.steps) == 1
     assert trace.steps[0].before.one_point_max == 1
@@ -138,7 +136,7 @@ def test_run_single_unit_drop():
 
 
 def test_run_already_principal():
-    scenario = make_scenario(3, (True,), [monomial_pair((1, 1), (2, 3), DIV)])
+    scenario = make_scenario(3, (True,), [monomial_pair((1, 1), (2, 3), 1)])
     final, trace = run(scenario, 4)
     assert trace.steps == ()
     assert final is scenario
@@ -157,7 +155,7 @@ def test_run_budget_exceeded():
 
 
 def test_ladder_drops_by_exactly_one():
-    scenario = make_scenario(3, (True,), [monomial_free((5,), (2,), DIV)])
+    scenario = make_scenario(3, (True,), [monomial_free((5,), (2,), 1)])
     final, trace = run(scenario, 16)
     assert [s.value for s in trace.steps] == [3, 2, 1]
     for s in trace.steps:
@@ -170,8 +168,8 @@ def test_phase_order_one_point_before_two_point():
         4,
         (True,),
         [
-            monomial_pair((2, 0), (0, 3), DIV),
-            monomial_free((4,), (1,), DIV),
+            monomial_pair((2, 0), (0, 3), 1),
+            monomial_free((4,), (1,), 1),
         ],
     )
     final, trace = run(scenario, 64)
@@ -187,8 +185,8 @@ def test_charts_processed_in_index_order():
         4,
         charts,
         [
-            transverse(ChartContext(2, False)),
-            monomial_pair((2, 0), (0, 3), ChartContext(1, True)),
+            transverse(2),
+            monomial_pair((2, 0), (0, 3), 1),
         ],
     )
     final, trace = run(scenario, 64)
@@ -199,7 +197,7 @@ def test_charts_processed_in_index_order():
 
 
 def test_identical_presentations_share_a_step():
-    p = monomial_pair((2, 0), (0, 3), DIV)
+    p = monomial_pair((2, 0), (0, 3), 1)
     scenario = make_scenario(3, (True,), [p, p])
     after = step(scenario)
     assert len(after.history.steps[0].parents) == 2
@@ -218,7 +216,7 @@ def test_principality_is_persistent():
     scenario = make_scenario(
         4,
         (True,),
-        [monomial_pair((1, 2, 0), (0, 1, 1), DIV), monomial_free((3,), (0,), DIV)],
+        [monomial_pair((1, 2, 0), (0, 1, 1), 1), monomial_free((3,), (0,), 1)],
     )
     final, trace = run(scenario, 64)
     principal_seen: set[int] = set()
@@ -234,10 +232,10 @@ def test_principality_is_persistent():
 
 def test_policy_depth_within_oracle_bounds():
     cases = [
-        [monomial_pair((3, 0), (0, 2), DIV)],
-        [monomial_free((4,), (1,), DIV)],
-        [monomial_pair((1, 2, 0), (0, 1, 1), DIV)],
-        [monomial_pair((2, 1), (1, 2), DIV)],
+        [monomial_pair((3, 0), (0, 2), 1)],
+        [monomial_free((4,), (1,), 1)],
+        [monomial_pair((1, 2, 0), (0, 1, 1), 1)],
+        [monomial_pair((2, 1), (1, 2), 1)],
     ]
     for presentations in cases:
         scenario = make_scenario(4, (True,), list(presentations))
@@ -248,14 +246,14 @@ def test_policy_depth_within_oracle_bounds():
 
 def test_scenario_validation():
     with pytest.raises(FormError):
-        make_scenario(3, (False,), [monomial_pair((2, 0), (0, 3), DIV)])
+        make_scenario(3, (False,), [monomial_pair((2, 0), (0, 3), 1)])
     with pytest.raises(FormError):
-        make_scenario(2, (True,), [monomial_pair((1, 2, 0), (0, 1, 1), DIV)])
+        make_scenario(2, (True,), [monomial_pair((1, 2, 0), (0, 1, 1), 1)])
     with pytest.raises(FormError):
         Scenario(
             n=3,
             charts=(True,),
-            entries=(Entry(0, monomial_pair((2, 0), (0, 3), DIV), active=False),),
+            entries=(Entry(0, monomial_pair((2, 0), (0, 3), 1), active=False),),
             next_id=1,
         )
 

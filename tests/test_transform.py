@@ -24,7 +24,7 @@ from toroidalize.transform import (
     blowup_transverse,
 )
 
-from conftest import DIV, OFF, column_grid, pair_presentations, try_free, try_pair
+from conftest import column_grid, pair_presentations, try_free, try_pair
 
 FREE1 = Center(CenterKind.FREE, 1)
 
@@ -36,7 +36,7 @@ def by_point(result):
 # -- free-coordinate blowups -----------------------------------------------------
 
 def test_blowup_free_ladder_step():
-    p = monomial_free((3,), (1,), DIV)
+    p = monomial_free((3,), (1,), 1)
     out = by_point(blowup_monomial_free(p, FREE1))
     a0 = out[ChartPoint.A_ORIGIN]
     assert a0.form is Form.MONOMIAL_FREE
@@ -51,7 +51,7 @@ def test_blowup_free_ladder_step():
 
 def test_blowup_free_one_step_to_principal():
     # frozen from the search oracle: (2),(1) principalizes in one step
-    p = monomial_free((2,), (1,), DIV)
+    p = monomial_free((2,), (1,), 1)
     out = by_point(blowup_monomial_free(p, FREE1))
     a0 = out[ChartPoint.A_ORIGIN]
     assert (a0.u_row, a0.v_row) == ((2,), (2,))
@@ -60,7 +60,7 @@ def test_blowup_free_one_step_to_principal():
 
 
 def test_blowup_free_multicolumn_keeps_others():
-    p = monomial_free((3, 1), (1, 1), DIV)
+    p = monomial_free((3, 1), (1, 1), 1)
     out = by_point(blowup_monomial_free(p, FREE1))
     assert out[ChartPoint.A_ORIGIN].v_row == (2, 1)
     b = out[ChartPoint.B_ORIGIN]
@@ -68,7 +68,7 @@ def test_blowup_free_multicolumn_keeps_others():
 
 
 def test_blowup_free_rejects_equal_column():
-    p = monomial_free((3, 1), (1, 1), DIV)
+    p = monomial_free((3, 1), (1, 1), 1)
     with pytest.raises(PermissibilityError):
         blowup_monomial_free(p, Center(CenterKind.FREE, 2))
 
@@ -76,7 +76,7 @@ def test_blowup_free_rejects_equal_column():
 # -- pair blowups -------------------------------------------------------------------
 
 def test_blowup_pair_both_monomial_charts():
-    p = monomial_pair((2, 0), (0, 3), DIV)
+    p = monomial_pair((2, 0), (0, 3), 1)
     out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2)))
     a0 = out[ChartPoint.A_ORIGIN]
     assert (a0.u_row, a0.v_row) == ((2, 2), (0, 3))
@@ -86,7 +86,7 @@ def test_blowup_pair_both_monomial_charts():
 
 
 def test_blowup_pair_generic_degenerates_to_power():
-    p = monomial_pair((1, 0), (0, 1), DIV)
+    p = monomial_pair((1, 0), (0, 1), 1)
     out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.POWER_UNIT
@@ -95,7 +95,7 @@ def test_blowup_pair_generic_degenerates_to_power():
 
 def test_blowup_pair_sign_criterion_enforced():
     # columns 1 and 2 are both u-dominant: no center passes through them
-    p = monomial_pair((1, 2, 0), (0, 1, 1), DIV)
+    p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
     with pytest.raises(PermissibilityError):
         blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2))
 
@@ -103,7 +103,7 @@ def test_blowup_pair_sign_criterion_enforced():
 def test_blowup_pair_orientation_symmetric():
     # the sign criterion is symmetric, so both orientations blow up the same
     # center; the two affine chart labels swap
-    p = monomial_pair((2, 0), (0, 3), DIV)
+    p = monomial_pair((2, 0), (0, 3), 1)
     out_ij = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2)))
     out_ji = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 1)))
     assert out_ij[ChartPoint.A_ORIGIN] == out_ji[ChartPoint.B_ORIGIN]
@@ -111,7 +111,7 @@ def test_blowup_pair_orientation_symmetric():
 
 
 def test_blowup_pair_three_point_generic():
-    p = monomial_pair((1, 2, 0), (0, 1, 1), DIV)
+    p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
     out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.MONOMIAL_PAIR
@@ -120,7 +120,7 @@ def test_blowup_pair_three_point_generic():
 
 def test_blowup_pair_three_point_second_chart():
     # frozen by substitution bookkeeping: column 2 absorbs column 3
-    p = monomial_pair((1, 2, 0), (0, 1, 1), DIV)
+    p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
     out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
     b = out[ChartPoint.B_ORIGIN]
     assert (b.u_row, b.v_row) == ((1, 2, 0), (0, 2, 1))
@@ -128,7 +128,7 @@ def test_blowup_pair_three_point_second_chart():
 
 def test_blowup_pair_three_point_degenerate_collapse():
     # frozen from the minor oracle: collapsed rows (1,2) | (1,2) have rank 1
-    p = monomial_pair((1, 1, 1), (1, 0, 2), DIV)
+    p = monomial_pair((1, 1, 1), (1, 0, 2), 1)
     out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.POWER_UNIT
@@ -138,14 +138,14 @@ def test_blowup_pair_three_point_degenerate_collapse():
 # -- transverse blowups ---------------------------------------------------------------
 
 def test_blowup_transverse_forms():
-    out = blowup_transverse(transverse(OFF), FREE1)
+    out = blowup_transverse(transverse(1), FREE1)
     forms = {d.presentation.form for d in out.descendants}
     assert forms == {Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT}
     assert all(is_principal(d.presentation) for d in out.descendants)
 
 
 def test_principal_transverse_shapes_carry_no_center():
-    for p in (transverse_unit(OFF, True), transverse_product(OFF)):
+    for p in (transverse_unit(1, True), transverse_product(1)):
         assert enumerate_centers(p) == []
         with pytest.raises(PermissibilityError):
             blowup(p, FREE1)
@@ -153,8 +153,8 @@ def test_principal_transverse_shapes_carry_no_center():
 
 def test_terminal_forms_reject_blowup():
     for p in (
-        nested((2, 2), (1, 1), DIV),
-        power_unit((1,), 2, 1, DIV),
+        nested((2, 2), (1, 1), 1),
+        power_unit((1,), 2, 1, 1),
     ):
         with pytest.raises(PermissibilityError):
             blowup(p, FREE1)
@@ -202,7 +202,7 @@ def test_blowup_is_deterministic(p):
 
 
 def test_descendant_count_and_labels():
-    p = monomial_pair((2, 0), (0, 3), DIV)
+    p = monomial_pair((2, 0), (0, 3), 1)
     out = blowup(p, Center(CenterKind.PAIR, 1, 2))
     assert [d.point for d in out.descendants] == [
         ChartPoint.A_ORIGIN,

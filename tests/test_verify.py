@@ -34,6 +34,9 @@ MUTATIONS = {
     "round_duplicated": lambda d: d["rounds"].append(copy.deepcopy(d["rounds"][0])),
     "exponent_nudged": lambda d: d["rounds"][0]["steps"][2]["descendants"][0]["presentation"]["u"].__setitem__(0, 9),
     "principal_flag_flip": lambda d: d["rounds"][0]["steps"][0]["descendants"][1].__setitem__("principal", False),
+    "chart_flags_flipped": lambda d: d["rounds"][0].__setitem__(
+        "charts", [not flag for flag in d["rounds"][0]["charts"]]
+    ),
 }
 
 
@@ -50,3 +53,14 @@ def test_mutation_rejected(base_trace, name, tmp_path):
 
 def test_pristine_trace_verifies(base_trace):
     verify_trace(copy.deepcopy(base_trace))
+
+
+def test_flipped_chart_flags_fail_well_formedness(base_trace):
+    # the recorded presentations no longer fit their charts' flags: the
+    # chart check at the input boundary rejects them before any step check
+    doc = copy.deepcopy(base_trace)
+    MUTATIONS["chart_flags_flipped"](doc)
+    with pytest.raises(VerificationError) as info:
+        verify_trace(doc)
+    assert info.value.invariant == "well-formedness"
+    assert info.value.step_index is None
