@@ -32,7 +32,6 @@ from .invariants import (
     enumerate_centers,
     locus_report,
     summarize,
-    two_point_invariant,
 )
 from .transform import (
     Center,

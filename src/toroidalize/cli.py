@@ -16,83 +16,27 @@ import argparse
 import sys
 from pathlib import Path
 
-from .descent import classify_scenario, reseed
-from .forms import FormError, NoTemplateMatchError, NotPrincipalError
 from .oracle import BoundExceededError, SearchBound, exhaustive_search
-from .principalize import (
-    Scenario,
-    StepBudgetExceededError,
-    default_budget,
-    make_scenario,
-    run,
-)
 from .scenario_io import (
-    RoundPlan,
     SchemaError,
     canonical_dumps,
     load_scenario,
     load_trace,
-    round_to_doc,
     trace_doc,
     write_trace,
 )
-from .verify import VerificationError, verify_trace
+from .verify import RoundError, VerificationError, run_rounds, verify_trace
+
+# Not called here: bench/tracing.py patches these names in this module.
+from .descent import classify_scenario, reseed  # noqa: F401
+from .principalize import default_budget, make_scenario, run  # noqa: F401
+from .scenario_io import round_to_doc  # noqa: F401
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_BUDGET = 3
 EXIT_CLASSIFY = 4
 EXIT_VERIFY = 5
-
-
-class PipelineError(RuntimeError):
-    def __init__(self, code: int, report: dict) -> None:
-        super().__init__(report.get("message", "pipeline error"))
-        self.code = code
-        self.report = report
-
-
-def run_pipeline(
-    scenario: Scenario,
-    plans: list[RoundPlan],
-    scenario_doc: dict,
-    max_steps: int | None = None,
-) -> dict:
-    """Principalize, lift and classify every round; return the trace document."""
-    rounds = []
-    current = scenario
-    for round_index, plan in enumerate(plans):
-        budget = max_steps if max_steps is not None else default_budget(current)
-        try:
-            final, _ = run(current, max(budget, 1))
-        except StepBudgetExceededError as exc:
-            raise PipelineError(
-                EXIT_BUDGET,
-                {
-                    "message": str(exc),
-                    "round": round_index,
-                    "steps": exc.steps,
-                },
-            ) from exc
-        try:
-            leaves = classify_scenario(final, plan.extra_branch_charts, plan.overrides_dict())
-        except (NoTemplateMatchError, NotPrincipalError, FormError) as exc:
-            raise PipelineError(
-                EXIT_CLASSIFY,
-                {"message": str(exc), "round": round_index},
-            ) from exc
-        rounds.append(round_to_doc(round_index, current, final, leaves))
-        if round_index + 1 < len(plans):
-            next_plan = plans[round_index + 1]
-            presentations = reseed(leaves, final, next_plan.charts)
-            try:
-                current = make_scenario(current.n, next_plan.charts, presentations)
-            except FormError as exc:
-                raise PipelineError(
-                    EXIT_SCHEMA,
-                    {"message": f"reseeding round {round_index + 1}: {exc}", "round": round_index + 1},
-                ) from exc
-    return trace_doc(scenario_doc, rounds)
 
 
 def render_text(trace: dict) -> str:
@@ -152,11 +96,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario, plans, doc = load_scenario(args.scenario)
     except SchemaError as exc:
         return _fail(EXIT_SCHEMA, "schema", {"path": exc.path, "message": exc.reason})
+    budgets = None if args.max_steps is None else [args.max_steps] * len(plans)
     try:
-        trace = run_pipeline(scenario, plans, doc, args.max_steps)
-    except PipelineError as exc:
-        kinds = {EXIT_BUDGET: "budget", EXIT_CLASSIFY: "classification", EXIT_SCHEMA: "schema"}
-        return _fail(exc.code, kinds.get(exc.code, "error"), exc.report)
+        trace = trace_doc(doc, list(run_rounds(scenario, plans, budgets)))
+    except RoundError as exc:
+        detail = {"message": str(exc), "round": exc.round_index}
+        if exc.stage == "budget":
+            return _fail(EXIT_BUDGET, "budget", {**detail, "steps": exc.__cause__.steps})
+        if exc.stage == "classification":
+            return _fail(EXIT_CLASSIFY, "classification", detail)
+        detail["message"] = f"reseeding round {exc.round_index}: {exc}"
+        return _fail(EXIT_SCHEMA, "schema", detail)
     out = Path(args.trace_out) if args.trace_out else Path(args.scenario).with_suffix(".trace.json")
     write_trace(trace, out)
     if args.format == "text":

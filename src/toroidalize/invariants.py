@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .forms import Form, FormError, MonomialPresentation, is_principal
+from .forms import Form, FormError, MonomialPresentation
+from .forms import is_principal  # noqa: F401  (bench/tracing.py counts calls through this name)
 from .transform import Center, CenterKind
 
 
@@ -52,20 +53,6 @@ def enumerate_centers(p: MonomialPresentation) -> list[Center]:
     if p.form is Form.TRANSVERSE:
         return [Center(CenterKind.FREE, 1)]
     return []
-
-
-def two_point_invariant(p: MonomialPresentation) -> int:
-    """(a_1 - b_1)(b_2 - a_2) > 0 at a non-principal 2-point monomial pair.
-
-    Indices are oriented so the product is positive.
-    """
-    if p.form is not Form.MONOMIAL_PAIR or p.k != 2:
-        raise FormError("2-point invariant needs a two-column monomial pair")
-    if is_principal(p):
-        raise FormError("2-point invariant undefined on a principal presentation")
-    (a1, b1), (a2, b2) = p.columns()
-    value = (a1 - b1) * (b2 - a2)
-    return value if value > 0 else -value
 
 
 def center_value(p: MonomialPresentation, c: Center) -> int:

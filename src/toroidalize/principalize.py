@@ -414,12 +414,14 @@ def step_lower_bound(scenario: Scenario) -> int:
 def run(scenario: Scenario, max_steps: int) -> tuple[Scenario, Trace]:
     """Iterate :func:`step` until the locus is empty.
 
-    The policy sequence always terminates (each step strictly lowers the
-    pair (phase maximum, number of centers achieving it) in the current
-    chart), so a large enough budget always succeeds; when the budget runs
-    out first this raises :class:`StepBudgetExceededError`.  A run whose
-    :func:`step_lower_bound` already exceeds the budget fails before its
-    first step.
+    On a two-column monomial pair, every non-principal descendant of a
+    step has a largest center value below the maximum the step targeted
+    (acceptance criterion 2 checks every pair with entries up to 5).  With
+    more columns the chart-wide (phase maximum, achiever count) can stay
+    level or rise from one step to the next, so no bound on the step count
+    is claimed here.  When the budget runs out this raises
+    :class:`StepBudgetExceededError`; a run whose :func:`step_lower_bound`
+    already exceeds the budget fails before its first step.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")

@@ -1,25 +1,79 @@
-"""Independent re-validation of recorded traces.
+"""Independent re-validation of recorded traces, and the round loop that
+both ``run`` and the replay go through.
 
 A trace is accepted only if (a) its recorded data satisfies the descent
 invariants on its own terms -- strictly decreasing (max, achiever-count)
 per phase, closed form families, persistent principality, empty terminal
-locus, well-formed templates -- and (b) a deterministic replay from the
-embedded scenario reproduces it byte-for-byte.  The first violated
-invariant is reported with its round and step index.
+locus, well-formed templates -- and (b) :func:`run_rounds`, replayed from
+the embedded scenario with each round's recorded step count as its
+budget, reproduces it byte-for-byte.  The first violated invariant is
+reported with its round and step index.
 """
 
 from __future__ import annotations
 
-from .descent import NotPrincipalError, classify_scenario, reseed
-from .forms import FormError, is_principal
-from .principalize import StepBudgetExceededError, make_scenario, run
+from typing import Iterator
+
+from .descent import classify_scenario, reseed
+from .forms import FormError, NoTemplateMatchError, NotPrincipalError, is_principal
+from .principalize import (
+    Scenario,
+    StepBudgetExceededError,
+    default_budget,
+    make_scenario,
+    run,
+)
 from .scenario_io import (
+    RoundPlan,
     SchemaError,
     presentation_from_doc,
     round_to_doc,
     scenario_from_doc,
     trace_doc,
 )
+
+
+class RoundError(RuntimeError):
+    """Round ``round_index`` of :func:`run_rounds` failed at ``stage``
+    (``budget``, ``classification`` or ``reseed``).  The engine error is
+    the ``__cause__`` and lends its message."""
+
+    def __init__(self, round_index: int, stage: str, cause: Exception) -> None:
+        super().__init__(str(cause))
+        self.round_index = round_index
+        self.stage = stage
+
+
+def run_rounds(
+    scenario: Scenario,
+    plans: list[RoundPlan],
+    budgets: list[int] | None = None,
+) -> Iterator[dict]:
+    """Principalize, lift and classify each planned round; yield its trace
+    document in order.
+
+    Round i may take ``budgets[i]`` steps, or :func:`default_budget` of its
+    scenario when ``budgets`` is None.  Its leaves reseed round i + 1 only
+    when the next document is asked for.
+    """
+    current = scenario
+    for round_index, plan in enumerate(plans):
+        if round_index:
+            presentations = reseed(leaves, final, plan.charts)
+            try:
+                current = make_scenario(current.n, plan.charts, presentations)
+            except FormError as exc:
+                raise RoundError(round_index, "reseed", exc) from exc
+        budget = default_budget(current) if budgets is None else budgets[round_index]
+        try:
+            final, _ = run(current, max(budget, 1))
+        except StepBudgetExceededError as exc:
+            raise RoundError(round_index, "budget", exc) from exc
+        try:
+            leaves = classify_scenario(final, plan.extra_branch_charts, plan.overrides_dict())
+        except (NoTemplateMatchError, NotPrincipalError, FormError) as exc:
+            raise RoundError(round_index, "classification", exc) from exc
+        yield round_to_doc(round_index, current, final, leaves)
 
 
 class VerificationError(ValueError):
@@ -203,50 +257,40 @@ def _replay(trace: dict) -> None:
         raise VerificationError(
             0, None, "rounds", f"trace has {len(rounds)} rounds, scenario plans {len(plans)}"
         )
-    current = scenario
-    for round_index, (round_doc, plan) in enumerate(zip(rounds, plans)):
-        budget = max(len(round_doc["steps"]), 1)
-        try:
-            final, _ = run(current, budget)
-        except StepBudgetExceededError as exc:
-            raise VerificationError(
-                round_index, None, "replay", f"replay needs more steps than recorded: {exc}"
-            ) from exc
-        try:
-            leaves = classify_scenario(
-                final, plan.extra_branch_charts, plan.overrides_dict()
-            )
-        except (FormError, NotPrincipalError) as exc:
-            raise VerificationError(round_index, None, "classification", str(exc)) from exc
-        expected = round_to_doc(round_index, current, final, leaves)
-        if expected["charts"] != round_doc["charts"]:
-            raise VerificationError(round_index, None, "replay", "chart flags differ")
-        if expected["initial"] != round_doc["initial"]:
-            raise VerificationError(round_index, None, "replay", "initial presentations differ")
-        for i, (want, got) in enumerate(zip(expected["steps"], round_doc["steps"])):
-            if want != got:
-                raise VerificationError(round_index, i, "replay", "step differs from deterministic replay")
-        if len(expected["steps"]) != len(round_doc["steps"]):
-            raise VerificationError(
-                round_index,
-                None,
-                "replay",
-                f"recorded {len(round_doc['steps'])} steps, replay took {len(expected['steps'])}",
-            )
-        if expected["leaves"] != round_doc["leaves"]:
-            raise VerificationError(round_index, None, "replay", "leaves differ")
-        if expected["classification"] != round_doc["classification"]:
-            raise VerificationError(round_index, None, "replay", "classification differs")
-        if round_index + 1 < len(plans):
-            next_plan = plans[round_index + 1]
-            presentations = reseed(leaves, final, next_plan.charts)
-            try:
-                current = make_scenario(current.n, next_plan.charts, presentations)
-            except FormError as exc:
-                raise VerificationError(round_index + 1, None, "reseed", str(exc)) from exc
+    replayed = run_rounds(scenario, plans, [len(round_doc["steps"]) for round_doc in rounds])
+    try:
+        for round_index, (round_doc, expected) in enumerate(zip(rounds, replayed)):
+            _compare_round(expected, round_doc, round_index)
+    except RoundError as exc:
+        if exc.stage == "budget":
+            invariant, message = "replay", f"replay needs more steps than recorded: {exc}"
+        else:
+            invariant, message = exc.stage, str(exc)
+        raise VerificationError(exc.round_index, None, invariant, message) from exc.__cause__
 
     if trace["summary"] != trace_doc(trace["scenario"], rounds)["summary"]:
         raise VerificationError(0, None, "summary", "summary totals disagree with rounds")
+
+
+def _compare_round(expected: dict, round_doc: dict, round_index: int) -> None:
+    if expected["charts"] != round_doc["charts"]:
+        raise VerificationError(round_index, None, "replay", "chart flags differ")
+    if expected["initial"] != round_doc["initial"]:
+        raise VerificationError(round_index, None, "replay", "initial presentations differ")
+    for i, (want, got) in enumerate(zip(expected["steps"], round_doc["steps"])):
+        if want != got:
+            raise VerificationError(round_index, i, "replay", "step differs from deterministic replay")
+    if len(expected["steps"]) != len(round_doc["steps"]):
+        raise VerificationError(
+            round_index,
+            None,
+            "replay",
+            f"recorded {len(round_doc['steps'])} steps, replay took {len(expected['steps'])}",
+        )
+    if expected["leaves"] != round_doc["leaves"]:
+        raise VerificationError(round_index, None, "replay", "leaves differ")
+    if expected["classification"] != round_doc["classification"]:
+        raise VerificationError(round_index, None, "replay", "classification differs")
 
 
 def verify_trace(trace: dict) -> None:

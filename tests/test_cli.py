@@ -72,11 +72,20 @@ def test_unparseable_scenario_exits_2(tmp_path, capsys):
     assert main(["run", str(bad), "-o", str(tmp_path / "t.json")]) == 2
 
 
-def test_budget_exceeded_exits_3(tmp_path, capsys):
-    code, _ = run_fixture("euclid.json", tmp_path, extra=["--max-steps", "1"])
+@pytest.mark.parametrize(
+    "fixture, max_steps, detail",
+    [
+        ("euclid.json", "1", {"message": "locus still nonempty after 1 steps", "round": 0, "steps": 1}),
+        # round 0 fits in 3 steps; round 1's lower bound already exceeds them
+        ("multi_round.json", "3", {"message": "locus still nonempty after 0 steps", "round": 1, "steps": 0}),
+    ],
+    ids=["euclid", "multi_round"],
+)
+def test_budget_exceeded_exits_3(fixture, max_steps, detail, tmp_path, capsys):
+    code, _ = run_fixture(fixture, tmp_path, extra=["--max-steps", max_steps])
     assert code == 3
-    report = json.loads(capsys.readouterr().out)
-    assert report["kind"] == "budget"
+    expected = {"status": "error", "kind": "budget", "exit": 3, "detail": detail}
+    assert capsys.readouterr().out == canonical_dumps(expected)
 
 
 def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):

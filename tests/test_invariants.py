@@ -15,7 +15,6 @@ from toroidalize.invariants import (
     enumerate_centers,
     locus_report,
     summarize,
-    two_point_invariant,
 )
 from toroidalize.transform import Center, CenterKind
 
@@ -60,15 +59,16 @@ def test_one_point_invariant_domain_errors():
 
 
 def test_two_point_invariant_values():
-    assert two_point_invariant(monomial_pair((2, 0), (0, 3), 1)) == 6
-    assert two_point_invariant(monomial_pair((3, 1), (1, 2), 1)) == 2
+    # (a_1 - b_1)(b_2 - a_2) on the one pair center of a two-column pair
+    def value(u, v):
+        p = monomial_pair(u, v, 1)
+        (c,) = enumerate_centers(p)
+        return center_value(p, c)
+
+    assert value((2, 0), (0, 3)) == 6
+    assert value((3, 1), (1, 2)) == 2
     # orientation must not matter
-    assert two_point_invariant(monomial_pair((0, 2), (3, 0), 1)) == 6
-
-
-def test_two_point_invariant_principal_rejected():
-    with pytest.raises(FormError):
-        two_point_invariant(monomial_pair((1, 1), (2, 3), 1))
+    assert value((0, 2), (3, 0)) == 6
 
 
 def test_center_value_uses_only_center_columns():

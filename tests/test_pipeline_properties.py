@@ -4,7 +4,6 @@ run -> trace -> verify round trip, on arbitrary mixed scenarios."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toroidalize.cli import run_pipeline
 from toroidalize.forms import (
     is_principal,
     monomial_free,
@@ -12,8 +11,8 @@ from toroidalize.forms import (
 )
 from toroidalize.oracle import SearchBound, exhaustive_search
 from toroidalize.principalize import Scenario, make_scenario, run, step, step_lower_bound
-from toroidalize.scenario_io import RoundPlan, scenario_to_doc
-from toroidalize.verify import verify_trace
+from toroidalize.scenario_io import RoundPlan, scenario_to_doc, trace_doc
+from toroidalize.verify import run_rounds, verify_trace
 
 from conftest import free_presentations, try_pair
 
@@ -129,7 +128,7 @@ def test_incremental_centers_match_a_full_rebuild(scenario):
 @given(scenarios())
 def test_pipeline_traces_always_verify(scenario):
     plan = RoundPlan(charts=scenario.charts)
-    trace = run_pipeline(scenario, [plan], scenario_to_doc(scenario))
+    trace = trace_doc(scenario_to_doc(scenario), list(run_rounds(scenario, [plan])))
     verify_trace(trace)
 
 
@@ -144,5 +143,5 @@ def test_multi_round_traces_always_verify(scenario, extra_chart):
     doc["followup_points"] = [
         {"charts": [{"q_in_divisor": f} for f in flipped]}
     ]
-    trace = run_pipeline(scenario, plans, doc)
+    trace = trace_doc(doc, list(run_rounds(scenario, plans)))
     verify_trace(trace)

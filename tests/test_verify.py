@@ -64,3 +64,38 @@ def test_flipped_chart_flags_fail_well_formedness(base_trace):
         verify_trace(doc)
     assert info.value.invariant == "well-formedness"
     assert info.value.step_index is None
+
+
+def test_replay_template_failure_is_reported_as_classification(tmp_path, capsys):
+    # Tamper a nested presentation into u=(2,2), v=(1,1), whose quotient is
+    # proportional to v: it is principal but lifts to no toroidal template.
+    # verify must name the failure as run does for the same scenario.
+    scenario = tmp_path / "nested.json"
+    scenario.write_text(json.dumps({
+        "version": 1, "n": 3,
+        "charts": [{"q_in_divisor": True}],
+        "presentations": [{"chart": 1, "form": "nested", "u": [2, 3], "v": [1, 1]}],
+    }))
+    out = tmp_path / "nested.trace.json"
+    assert main(["run", str(scenario), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    round_doc = doc["rounds"][0]
+    for presentation in (
+        doc["scenario"]["presentations"][0],
+        round_doc["initial"][0]["presentation"],
+        round_doc["leaves"][0]["presentation"],
+    ):
+        presentation["u"] = [2, 2]
+    out.write_text(canonical_dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert json.loads(capsys.readouterr().out)["detail"] == {
+        "invariant": "classification",
+        "message": "classification violated at round 0: "
+        "nested shape with proportional quotient violates dominance",
+        "round": 0,
+        "step": None,
+    }
+    scenario.write_text(json.dumps(doc["scenario"]))
+    assert main(["run", str(scenario), "-o", str(tmp_path / "t.json")]) == 4
+    assert json.loads(capsys.readouterr().out)["kind"] == "classification"
