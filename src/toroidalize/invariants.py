@@ -14,6 +14,10 @@ each one, read off at the generic point of the center:
 
 Both values are positive exactly on the locus, and the driver makes them
 drop strictly.
+
+Each :class:`CenterRecord` also carries its center's *signature*, the one
+identity under which the driver blows up presentations together; the
+signature's class (``transverse``, ``free``, ``pair``) fixes the phase.
 """
 
 from __future__ import annotations
@@ -74,12 +78,22 @@ def center_value(p: MonomialPresentation, c: Center) -> int:
     raise FormError(f"center {c} does not belong to a {p.form.value} presentation")
 
 
+def center_signature(p: MonomialPresentation, c: Center) -> tuple:
+    """(chart, class, exponent columns): centers with equal signatures lie
+    on one subvariety and carry one value."""
+    chart = p.chart_index
+    if p.form is Form.TRANSVERSE:
+        return (chart, "transverse", ())
+    if c.kind is CenterKind.FREE:
+        return (chart, "free", p.column(c.i))
+    return (chart, "pair", (p.column(c.i), p.column(c.j)))
+
+
 @dataclass(frozen=True)
 class CenterRecord:
     presentation_id: int
-    chart_index: int
-    form: Form
     center: Center
+    signature: tuple
     value: int
 
     def sort_key(self) -> tuple:
@@ -102,8 +116,8 @@ class Snapshot:
 
 def summarize(records: Sequence[CenterRecord]) -> Snapshot:
     """The one place that takes maxima over center values."""
-    one = [r.value for r in records if r.form is Form.MONOMIAL_FREE]
-    two = [r.value for r in records if r.center.kind is CenterKind.PAIR]
+    one = [r.value for r in records if r.signature[1] == "free"]
+    two = [r.value for r in records if r.signature[1] == "pair"]
     one_max = max(one, default=0)
     two_max = max(two, default=0)
     return Snapshot(
@@ -126,14 +140,6 @@ def locus_report(
     records: list[CenterRecord] = []
     for pid, p in entries:
         for c in enumerate_centers(p):
-            records.append(
-                CenterRecord(
-                    presentation_id=pid,
-                    chart_index=p.chart_index,
-                    form=p.form,
-                    center=c,
-                    value=center_value(p, c),
-                )
-            )
+            records.append(CenterRecord(pid, c, center_signature(p, c), center_value(p, c)))
     records.sort(key=CenterRecord.sort_key)
     return tuple(records)

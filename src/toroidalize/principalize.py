@@ -9,9 +9,10 @@ the divisor need no policy; any center works and one blowup per
 presentation principalizes it.
 
 A step targets one center *signature* (chart, center class, the exponent
-columns of the center): every active presentation in that chart carrying a
-center with the same signature lies on the same codimension-2 subvariety,
-so all of them are transformed together.  Descendants that come out
+columns of the center, as :mod:`~toroidalize.invariants` records it): every
+active presentation in that chart carrying a center with the same signature
+lies on the same codimension-2 subvariety, so all of them are transformed
+together, and the signature's class fixes the phase.  Descendants that come out
 principal leave the worklist immediately but stay in the scenario as
 leaves; the trace records every step with before/after invariant data so
 the run can be re-verified independently.
@@ -40,7 +41,7 @@ from .forms import (
     is_principal,
 )
 from .invariants import CenterRecord, Snapshot, locus_report, summarize
-from .transform import Center, CenterKind, ChartPoint, blowup
+from .transform import Center, ChartPoint, blowup
 
 
 class NoCenterError(RuntimeError):
@@ -131,7 +132,7 @@ class Scenario:
             n=n, charts=charts, next_id=next_id, _roots=roots, _chain=(),
             _active=_by_chart(active, lambda e: e.presentation.chart_index),
             _centers=_by_chart(
-                locus_report((e.id, e.presentation) for e in active), lambda r: r.chart_index
+                locus_report((e.id, e.presentation) for e in active), lambda r: r.signature[0]
             ),
         )
 
@@ -264,31 +265,16 @@ def make_scenario(
     return Scenario(n=n, charts=tuple(charts), entries=entries, next_id=len(entries))
 
 
-# -- center signatures ---------------------------------------------------------
-
-def center_signature(p: MonomialPresentation, c: Center) -> tuple:
-    """Chart-level identity of a center: presentations carrying equal
-    signatures are treated as lying on one subvariety."""
-    chart = p.chart_index
-    if p.form is Form.TRANSVERSE:
-        return (chart, "transverse", ())
-    if c.kind is CenterKind.FREE:
-        return (chart, "free", p.column(c.i))
-    return (chart, "pair", (p.column(c.i), p.column(c.j)))
+_PHASE_OF_CLASS = {"transverse": Phase.TRANSVERSE, "free": Phase.ONE_POINT, "pair": Phase.TWO_POINT}
 
 
-def _select_target(
-    on_divisor: bool, records: tuple[CenterRecord, ...], before: Snapshot
-) -> tuple[Phase, CenterRecord]:
-    if not on_divisor:
-        return Phase.TRANSVERSE, min(records, key=CenterRecord.sort_key)
-    # On the divisor every center is a free-coordinate or a pair center.
-    if before.one_point_achievers:
-        phase, best = Phase.ONE_POINT, before.one_point_max
-        records = tuple(r for r in records if r.form is Form.MONOMIAL_FREE)
-    else:
-        phase, best = Phase.TWO_POINT, before.two_point_max
-    return phase, min((r for r in records if r.value == best), key=CenterRecord.sort_key)
+def _select_target(records: tuple[CenterRecord, ...]) -> CenterRecord:
+    """The lowest record at the largest value among the free centers, or
+    among all when none is free: off the divisor all are transverse (value
+    0) and on it none is, so 1-point steps come before 2-point ones."""
+    pool = [r for r in records if r.signature[1] == "free"] or records
+    best = max(r.value for r in pool)
+    return min((r for r in pool if r.value == best), key=CenterRecord.sort_key)
 
 
 def step(scenario: Scenario) -> Scenario:
@@ -306,23 +292,13 @@ def step(scenario: Scenario) -> Scenario:
     chart = min(centers)
     records = centers[chart]
     active = scenario._active[chart]
-    by_id = {e.id: e.presentation for e in active}
-    before = summarize(records)
-    phase, target = _select_target(scenario.charts[chart - 1], records, before)
-    signature = center_signature(by_id[target.presentation_id], target.center)
+    target = _select_target(records)
 
-    # Records run in (id, center) order, so the first hit per id is the
-    # lowest matching center of that presentation.  A signature fixes the
-    # value, so only records carrying the target's value can match.
-    matched: dict[int, Center] = {}
-    for r in records:
-        pid = r.presentation_id
-        if (
-            r.value == target.value
-            and pid not in matched
-            and center_signature(by_id[pid], r.center) == signature
-        ):
-            matched[pid] = r.center
+    # Records run in (id, center) order; read backwards, each presentation
+    # keeps the lowest of its centers that carry the target's signature.
+    matched = {
+        r.presentation_id: r.center for r in reversed(records) if r.signature == target.signature
+    }
 
     n, charts = scenario.n, scenario.charts
     next_id = scenario.next_id
@@ -362,12 +338,12 @@ def step(scenario: Scenario) -> Scenario:
     trace_step = TraceStep(
         index=chain[1].index + 1 if chain else 0,
         chart_index=chart,
-        phase=phase,
-        signature=signature,
+        phase=_PHASE_OF_CLASS[target.signature[1]],
+        signature=target.signature,
         value=target.value,
         parents=tuple(parents),
         descendants=tuple(descendants),
-        before=before,
+        before=summarize(records),
         after=summarize(new_records),
     )
     new_active = dict(scenario._active)
@@ -406,7 +382,7 @@ def step_lower_bound(scenario: Scenario) -> int:
     """
     sums: dict[int, int] = {}
     for r in scenario.locus():
-        if r.form is Form.MONOMIAL_FREE:
+        if r.signature[1] == "free":
             sums[r.presentation_id] = sums.get(r.presentation_id, 0) + r.value
     return max(sums.values(), default=0)
 
@@ -416,10 +392,12 @@ def run(scenario: Scenario, max_steps: int) -> tuple[Scenario, Trace]:
 
     On a two-column monomial pair, every non-principal descendant of a
     step has a largest center value below the maximum the step targeted
-    (acceptance criterion 2 checks every pair with entries up to 5).  With
-    more columns the chart-wide (phase maximum, achiever count) can stay
-    level or rise from one step to the next, so no bound on the step count
-    is claimed here.  When the budget runs out this raises
+    (acceptance criterion 2 checks every pair with entries up to 5).  At
+    any column count each one's (largest center value, number of centers
+    at it) is lexicographically below its parent's, as ``verify`` checks,
+    so the multiset of these measures drops in the multiset order and the
+    run terminates; the chart-wide (phase maximum, achiever count) need
+    not drop.  When the budget runs out this raises
     :class:`StepBudgetExceededError`; a run whose :func:`step_lower_bound`
     already exceeds the budget fails before its first step.
     """

@@ -245,17 +245,12 @@ def step_to_doc(step: TraceStep) -> dict:
 def template_to_doc(kind: TemplateKind | None, template: MonomialPresentation | None) -> dict | None:
     if kind is None:
         return None
-    doc = {"kind": kind.value}
+    doc = presentation_to_doc(template)
+    del doc["form"], doc["chart"]
     if kind is TemplateKind.FREE_COORDINATE:
-        doc["row"] = list(template.u_row)
-    elif kind is TemplateKind.POWER_UNIT:
-        doc["base"] = list(template.base)
-        doc["power_u"] = template.power_u
-        doc["power_v"] = template.power_v
-    else:
-        doc["u"] = list(template.u_row)
-        doc["v"] = list(template.v_row)
-    return doc
+        # v = y, the fresh coordinate, whose row is all zero
+        doc = {"row": doc["u"]}
+    return {"kind": kind.value, **doc}
 
 
 def leaf_to_doc(leaf: ClassifiedLeaf) -> dict:

@@ -2,9 +2,11 @@
 both ``run`` and the replay go through.
 
 A trace is accepted only if (a) its recorded data satisfies the descent
-invariants on its own terms -- strictly decreasing (max, achiever-count)
-per phase, closed form families, persistent principality, empty terminal
-locus, well-formed templates -- and (b) :func:`run_rounds`, replayed from
+invariants on its own terms -- every non-principal descendant's (largest
+center value, number of centers at it) strictly below its parent's, read
+off the recorded columns; phase maxima that never rise; closed form
+families; persistent principality; empty terminal locus; well-formed
+templates -- and (b) :func:`run_rounds`, replayed from
 the embedded scenario with each round's recorded step count as its
 budget, reproduces it byte-for-byte.  The first violated invariant is
 reported with its round and step index.
@@ -91,10 +93,20 @@ _CLOSURE = {
     "transverse": {"transverse_unit", "transverse_product"},
 }
 
-_PHASE_FIELDS = {
-    "one_point": ("one_point_max", "one_point_achievers"),
-    "two_point": ("two_point_max", "two_point_achievers"),
-}
+_PHASE_MAX = {"one_point": "one_point_max", "two_point": "two_point_max"}
+
+
+def _measure(doc: dict) -> tuple[int, int]:
+    """(largest center value, number of centers at it) of a recorded
+    presentation, from its columns and counted with multiplicity."""
+    columns = list(zip(doc.get("u", ()), doc.get("v", ())))
+    d = [a - b for a, b in columns if b < a]
+    if doc["form"] == "monomial_pair":
+        values = [d_i * (b - a) for d_i in d for a, b in columns if a < b]
+    else:
+        values = d if doc["form"] == "monomial_free" else []
+    top = max(values, default=0)
+    return (top, values.count(top))
 
 
 def _presentation(doc: dict, charts: tuple[bool, ...], round_index: int, step_index: int | None):
@@ -111,6 +123,7 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
     principal_ids: set[int] = set()
     active_ids: set[int] = set()
     seen_ids: set[int] = set()
+    measures: dict[int, tuple[int, int]] = {}
 
     for item in round_doc["initial"]:
         pid = item["id"]
@@ -121,6 +134,7 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
                 round_index, None, "principality", f"initial presentation {pid} mislabelled"
             )
         (principal_ids if item["principal"] else active_ids).add(pid)
+        measures[pid] = _measure(item["presentation"])
 
     last_chart = 0
     chart_phase_rank: dict[int, int] = {}
@@ -148,16 +162,12 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
         chart_phase_rank[chart] = rank
 
         before, after = step_doc["before"], step_doc["after"]
-        if phase in _PHASE_FIELDS:
-            max_key, ach_key = _PHASE_FIELDS[phase]
-            b = (before[max_key], before[ach_key])
-            a = (after[max_key], after[ach_key])
-            if not a < b:
+        if phase in _PHASE_MAX:
+            max_key = _PHASE_MAX[phase]
+            if after[max_key] > before[max_key]:
                 raise VerificationError(
-                    round_index,
-                    idx,
-                    "strict descent",
-                    f"{phase} measure went {b} -> {a}",
+                    round_index, idx, "strict descent",
+                    f"{phase} maximum rose from {before[max_key]} to {after[max_key]}",
                 )
             if step_doc["value"] != before[max_key]:
                 raise VerificationError(
@@ -202,8 +212,15 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
                 )
             if desc["principal"]:
                 principal_ids.add(did)
-            else:
-                active_ids.add(did)
+                continue
+            measure, parent_measure = _measure(desc["presentation"]), measures[desc["parent"]]
+            if not measure < parent_measure:
+                raise VerificationError(
+                    round_index, idx, "strict descent",
+                    f"descendant {did} measure {measure} not below its parent's {parent_measure}",
+                )
+            active_ids.add(did)
+            measures[did] = measure
         active_ids -= parent_ids
 
     leaf_ids = set()

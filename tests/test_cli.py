@@ -205,14 +205,10 @@ def test_oracle_deeper_than_recursion_limit_exits_3(tmp_path, capsys):
     assert "recursion limit" in report["detail"]["message"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known defect: run exits 0 but verify rejects its trace with "
-    "'strict descent violated at round 0, step 31: two_point measure went "
-    "(1, 400) -> (1, 405)'",
-)
 def test_verify_accepts_run_trace_of_five_column_pair(tmp_path, capsys):
+    # at step 31, 17 parents at value 1 take the chart-wide (2-point max,
+    # achiever count) from (1, 400) to (1, 405); each descendant's own
+    # measure still drops
     scenario = tmp_path / "pair.json"
     scenario.write_text(json.dumps({
         "version": 1, "n": 6,
@@ -226,13 +222,6 @@ def test_verify_accepts_run_trace_of_five_column_pair(tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known defect: run exits 0 but verify rejects its trace with "
-    "'strict descent violated at round 1, step 9: two_point measure went "
-    "(1, 24) -> (1, 24)'",
-)
 def test_verify_accepts_run_trace_of_reseeded_free_pair(tmp_path, capsys):
     # found by test_multi_round_traces_always_verify: two free presentations
     # whose round-0 leaves reseed into 3- and 4-column pairs
@@ -272,6 +261,26 @@ def test_verify_detects_invariant_increase(euclid_trace, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["detail"]["invariant"] == "strict descent"
     assert report["detail"]["step"] == 1
+
+
+def test_verify_detects_descendant_that_does_not_descend(euclid_trace, tmp_path, capsys):
+    doc = copy.deepcopy(euclid_trace)
+    round_doc = doc["rounds"][0]
+    presentations = {item["id"]: item["presentation"] for item in round_doc["initial"]}
+    for s in round_doc["steps"]:
+        for desc in s["descendants"]:
+            presentations[desc["id"]] = desc["presentation"]
+    step, victim = next(
+        (step, desc)
+        for step in round_doc["steps"]
+        for desc in step["descendants"]
+        if not desc["principal"]
+    )
+    victim["presentation"] = copy.deepcopy(presentations[victim["parent"]])
+    assert main(["verify", str(rewrite(tmp_path, doc))]) == 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["detail"]["invariant"] == "strict descent"
+    assert report["detail"]["step"] == step["index"]
 
 
 def test_verify_detects_truncation(euclid_trace, tmp_path, capsys):
@@ -317,7 +326,11 @@ def test_trace_schema_validates_real_traces(euclid_trace, tmp_path):
 
 
 def test_docs_schemas_match_packaged_schemas():
+    # docs/schemas is a copy of the packaged schemas: same files, same bytes
     package = Path(__file__).parent.parent / "src" / "toroidalize" / "schemas"
     docs = Path(__file__).parent.parent / "docs" / "schemas"
-    for name in ("scenario.schema.json", "trace.schema.json"):
-        assert (docs / name).read_text() == (package / name).read_text()
+    names = sorted(p.name for p in package.iterdir())
+    assert names == ["scenario.schema.json", "trace.schema.json"]
+    assert sorted(p.name for p in docs.iterdir()) == names
+    for name in names:
+        assert (docs / name).read_bytes() == (package / name).read_bytes()

@@ -102,8 +102,8 @@ def test_locus_report_examples():
 def test_locus_report_per_chart():
     other = monomial_free((4,), (1,), 2)
     records = locus_report([(0, monomial_pair((2, 0), (0, 3), 1)), (1, other)])
-    chart1 = summarize([r for r in records if r.chart_index == 1])
-    chart2 = summarize([r for r in records if r.chart_index == 2])
+    chart1 = summarize([r for r in records if r.signature[0] == 1])
+    chart2 = summarize([r for r in records if r.signature[0] == 2])
     assert (chart1.one_point_max, chart1.two_point_max) == (0, 6)
     assert (chart2.one_point_max, chart2.two_point_max) == (3, 0)
 

@@ -14,7 +14,7 @@ from toroidalize.principalize import Scenario, make_scenario, run, step, step_lo
 from toroidalize.scenario_io import RoundPlan, scenario_to_doc, trace_doc
 from toroidalize.verify import run_rounds, verify_trace
 
-from conftest import free_presentations, try_pair
+from conftest import free_presentations, pair_presentations, try_pair
 
 
 @st.composite
@@ -130,6 +130,16 @@ def test_pipeline_traces_always_verify(scenario):
     plan = RoundPlan(charts=scenario.charts)
     trace = trace_doc(scenario_to_doc(scenario), list(run_rounds(scenario, [plan])))
     verify_trace(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_presentations(max_entry=9, max_k=5))
+def test_monomial_pair_traces_always_verify(p):
+    # with three or more columns the chart-wide (maximum, achiever count)
+    # can stay level or rise; each descendant's own measure still drops
+    scenario = make_scenario(p.k + 1, (True,), [p])
+    plan = RoundPlan(charts=scenario.charts)
+    verify_trace(trace_doc(scenario_to_doc(scenario), list(run_rounds(scenario, [plan]))))
 
 
 @settings(max_examples=25, deadline=None)
