@@ -48,7 +48,6 @@ from .principalize import (
     NoCenterError,
     Scenario,
     StepBudgetExceededError,
-    Trace,
     default_budget,
     make_scenario,
     run,

@@ -92,11 +92,6 @@ class TraceStep:
     after: Snapshot
 
 
-@dataclass(frozen=True)
-class Trace:
-    steps: tuple[TraceStep, ...] = ()
-
-
 class Scenario:
     """The full symbolic state: chart flags, identified presentations, history.
 
@@ -157,17 +152,17 @@ class Scenario:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @cached_property
-    def history(self) -> Trace:
+    def history(self) -> tuple[TraceStep, ...]:
         steps = []
         link = self._chain
         while link:
             link, trace_step = link
             steps.append(trace_step)
-        return Trace(tuple(reversed(steps)))
+        return tuple(reversed(steps))
 
     @cached_property
     def entries(self) -> tuple[Entry, ...]:
-        return _flatten(self._roots, self.history.steps)
+        return _flatten(self._roots, self.history)
 
     def _key(self) -> tuple:
         return (self.n, self.charts, self.entries, self.next_id, self.history)
@@ -387,8 +382,9 @@ def step_lower_bound(scenario: Scenario) -> int:
     return max(sums.values(), default=0)
 
 
-def run(scenario: Scenario, max_steps: int) -> tuple[Scenario, Trace]:
-    """Iterate :func:`step` until the locus is empty.
+def run(scenario: Scenario, max_steps: int) -> Scenario:
+    """Iterate :func:`step` until the locus is empty and return the final
+    state; its ``history`` holds the steps taken.
 
     On a two-column monomial pair, every non-principal descendant of a
     step has a largest center value below the maximum the step targeted
@@ -412,4 +408,4 @@ def run(scenario: Scenario, max_steps: int) -> tuple[Scenario, Trace]:
             raise StepBudgetExceededError(steps, current)
         current = step(current)
         steps += 1
-    return current, current.history
+    return current

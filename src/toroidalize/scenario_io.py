@@ -55,7 +55,7 @@ def _validator(name: str) -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(_load_schema(name))
 
 
-def _check_schema(doc, schema_name: str) -> None:
+def check_schema(doc, schema_name: str) -> None:
     errors = sorted(
         _validator(schema_name).iter_errors(doc), key=lambda e: (len(e.absolute_path), str(e.absolute_path))
     )
@@ -145,7 +145,7 @@ def _load_json(path: str | Path, what: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$ (line {exc.lineno})", f"invalid JSON: {exc.msg}") from exc
-    _check_schema(doc, f"{what}.schema.json")
+    check_schema(doc, f"{what}.schema.json")
     return doc
 
 
@@ -283,7 +283,7 @@ def round_to_doc(
             }
             for e in initial.entries
         ],
-        "steps": [step_to_doc(s) for s in final.history.steps],
+        "steps": [step_to_doc(s) for s in final.history],
         "leaves": [
             {"id": e.id, "presentation": presentation_to_doc(e.presentation)}
             for e in final.entries

@@ -6,10 +6,10 @@ invariants on its own terms -- every non-principal descendant's (largest
 center value, number of centers at it) strictly below its parent's, read
 off the recorded columns; phase maxima that never rise; closed form
 families; persistent principality; empty terminal locus; well-formed
-templates -- and (b) :func:`run_rounds`, replayed from
-the embedded scenario with each round's recorded step count as its
-budget, reproduces it byte-for-byte.  The first violated invariant is
-reported with its round and step index.
+templates -- and (b) the embedded scenario passes the scenario-file
+schema and :func:`run_rounds`, replayed from it with each round's recorded
+step count as its budget, reproduces every round document whole.  The
+first violated invariant is reported with its round and step index.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .principalize import (
 from .scenario_io import (
     RoundPlan,
     SchemaError,
+    check_schema,
     presentation_from_doc,
     round_to_doc,
     scenario_from_doc,
@@ -68,7 +69,7 @@ def run_rounds(
                 raise RoundError(round_index, "reseed", exc) from exc
         budget = default_budget(current) if budgets is None else budgets[round_index]
         try:
-            final, _ = run(current, max(budget, 1))
+            final = run(current, max(budget, 1))
         except StepBudgetExceededError as exc:
             raise RoundError(round_index, "budget", exc) from exc
         try:
@@ -118,23 +119,27 @@ def _presentation(doc: dict, charts: tuple[bool, ...], round_index: int, step_in
         ) from exc
 
 
-def _check_recorded_round(round_doc: dict, round_index: int) -> None:
+def _check_round(round_doc: dict, round_index: int) -> None:
+    """Read a recorded round once: initial items, then steps, then leaves.
+
+    ``ledger`` maps every id recorded so far to its item, and ``active``
+    holds the ids still on the worklist; each descendant is admitted
+    against its parent's ledger entry.
+    """
     charts = tuple(round_doc["charts"])
-    principal_ids: set[int] = set()
-    active_ids: set[int] = set()
-    seen_ids: set[int] = set()
-    measures: dict[int, tuple[int, int]] = {}
+    ledger: dict[int, dict] = {}
+    active: set[int] = set()
 
     for item in round_doc["initial"]:
         pid = item["id"]
-        seen_ids.add(pid)
         p = _presentation(item["presentation"], charts, round_index, None)
         if is_principal(p) != item["principal"]:
             raise VerificationError(
                 round_index, None, "principality", f"initial presentation {pid} mislabelled"
             )
-        (principal_ids if item["principal"] else active_ids).add(pid)
-        measures[pid] = _measure(item["presentation"])
+        ledger[pid] = item
+        if not item["principal"]:
+            active.add(pid)
 
     last_chart = 0
     chart_phase_rank: dict[int, int] = {}
@@ -183,24 +188,23 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
                     round_index, idx, "strict descent", "transverse step did not shrink the locus"
                 )
 
+        parent_ids = {parent["id"] for parent in step_doc["parents"]}
         for parent in step_doc["parents"]:
             pid = parent["id"]
-            if pid in principal_ids:
+            if pid in ledger and ledger[pid]["principal"]:
                 raise VerificationError(
                     round_index, idx, "persistence", f"principal presentation {pid} blown up again"
                 )
-            if pid not in active_ids:
+            if pid not in active:
                 raise VerificationError(
                     round_index, idx, "worklist", f"parent {pid} is not an active presentation"
                 )
-        parent_ids = {parent["id"] for parent in step_doc["parents"]}
         for desc in step_doc["descendants"]:
             did = desc["id"]
-            if did in seen_ids:
+            if did in ledger:
                 raise VerificationError(
                     round_index, idx, "identity", f"descendant id {did} reused"
                 )
-            seen_ids.add(did)
             if desc["parent"] not in parent_ids:
                 raise VerificationError(
                     round_index, idx, "identity", f"descendant {did} cites a non-parent"
@@ -210,18 +214,22 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
                 raise VerificationError(
                     round_index, idx, "principality", f"descendant {did} mislabelled"
                 )
+            parent_doc, child_doc = ledger[desc["parent"]]["presentation"], desc["presentation"]
+            if child_doc["form"] not in _CLOSURE.get(parent_doc["form"], ()):
+                raise VerificationError(
+                    round_index, idx, "closure", f"{parent_doc['form']} produced {child_doc['form']}"
+                )
+            ledger[did] = desc
             if desc["principal"]:
-                principal_ids.add(did)
                 continue
-            measure, parent_measure = _measure(desc["presentation"]), measures[desc["parent"]]
+            measure, parent_measure = _measure(child_doc), _measure(parent_doc)
             if not measure < parent_measure:
                 raise VerificationError(
                     round_index, idx, "strict descent",
                     f"descendant {did} measure {measure} not below its parent's {parent_measure}",
                 )
-            active_ids.add(did)
-            measures[did] = measure
-        active_ids -= parent_ids
+            active.add(did)
+        active -= parent_ids
 
     leaf_ids = set()
     for leaf in round_doc["leaves"]:
@@ -231,11 +239,11 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
             raise VerificationError(
                 round_index, None, "final emptiness", f"leaf {leaf['id']} is not principal"
             )
-    if active_ids:
+    if active:
         raise VerificationError(
-            round_index, None, "final emptiness", f"active presentations remain: {sorted(active_ids)}"
+            round_index, None, "final emptiness", f"active presentations remain: {sorted(active)}"
         )
-    if leaf_ids != principal_ids:
+    if leaf_ids != {pid for pid, item in ledger.items() if item["principal"]}:
         raise VerificationError(
             round_index, None, "identity", "leaf ids disagree with accumulated principal ids"
         )
@@ -247,24 +255,9 @@ def _check_recorded_round(round_doc: dict, round_index: int) -> None:
         )
 
 
-def _check_closure(round_doc: dict, round_index: int, forms_by_id: dict[int, str]) -> None:
-    for step_doc in round_doc["steps"]:
-        for desc in step_doc["descendants"]:
-            parent_form = forms_by_id[desc["parent"]]
-            child_form = desc["presentation"]["form"]
-            allowed = _CLOSURE.get(parent_form, set())
-            if child_form not in allowed:
-                raise VerificationError(
-                    round_index,
-                    step_doc["index"],
-                    "closure",
-                    f"{parent_form} produced {child_form}",
-                )
-            forms_by_id[desc["id"]] = child_form
-
-
 def _replay(trace: dict) -> None:
     try:
+        check_schema(trace["scenario"], "scenario.schema.json")
         scenario, plans = scenario_from_doc(trace["scenario"])
     except SchemaError as exc:
         raise VerificationError(0, None, "embedded scenario", str(exc)) from exc
@@ -308,17 +301,15 @@ def _compare_round(expected: dict, round_doc: dict, round_index: int) -> None:
         raise VerificationError(round_index, None, "replay", "leaves differ")
     if expected["classification"] != round_doc["classification"]:
         raise VerificationError(round_index, None, "replay", "classification differs")
+    if expected != round_doc:
+        raise VerificationError(round_index, None, "replay", "round document differs")
 
 
 def verify_trace(trace: dict) -> None:
     """Raise :class:`VerificationError` on the first violated invariant."""
     try:
         for round_index, round_doc in enumerate(trace["rounds"]):
-            _check_recorded_round(round_doc, round_index)
-            forms_by_id = {
-                item["id"]: item["presentation"]["form"] for item in round_doc["initial"]
-            }
-            _check_closure(round_doc, round_index, forms_by_id)
+            _check_round(round_doc, round_index)
         _replay(trace)
     except VerificationError:
         raise

@@ -71,10 +71,10 @@ def test_criterion_1_one_point_exact_drop():
     for a in range(2, 9):
         for b in range(1, a):
             scenario = make_scenario(3, (True,), [monomial_free((a,), (b,), 1)])
-            final, trace = run(scenario, 64)
-            assert len(trace.steps) == a - b, (a, b)
-            assert [s.value for s in trace.steps] == list(range(a - b, 0, -1))
-            for s in trace.steps:
+            final = run(scenario, 64)
+            assert len(final.history) == a - b, (a, b)
+            assert [s.value for s in final.history] == list(range(a - b, 0, -1))
+            for s in final.history:
                 assert s.phase is Phase.ONE_POINT
                 assert s.after.one_point_max == s.before.one_point_max - 1
             assert not final.locus()
@@ -95,9 +95,9 @@ def test_criterion_2_two_point_strict_descent():
         checked += 1
         search = exhaustive_search([p], bound)
         scenario = make_scenario(3, (True,), [p])
-        final, trace = run(scenario, search.max_depth)
-        assert len(trace.steps) <= search.max_depth
-        for s in trace.steps:
+        final = run(scenario, search.max_depth)
+        assert len(final.history) <= search.max_depth
+        for s in final.history:
             assert s.phase is Phase.TWO_POINT
             for d in s.descendants:
                 if d.principal:

@@ -164,7 +164,7 @@ def test_classify_scenario_requires_empty_locus():
 
 def test_classify_scenario_end_to_end():
     scenario = make_scenario(3, (True,), [monomial_pair((2, 0), (0, 3), 1)])
-    final, _ = run(scenario, 64)
+    final = run(scenario, 64)
     leaves = classify_scenario(final)
     assert len(leaves) == len(final.entries)
     assert all(leaf.template is not None for leaf in leaves)
@@ -174,7 +174,7 @@ def test_classify_scenario_end_to_end():
 
 def test_classify_scenario_extra_branch_upgrades_free_templates():
     scenario = make_scenario(3, (True,), [monomial_free((2,), (0,), 1)])
-    final, _ = run(scenario, 16)
+    final = run(scenario, 16)
     plain = classify_scenario(final)
     upgraded = classify_scenario(final, extra_branch_charts=frozenset({1}))
     for before, after in zip(plain, upgraded):
@@ -184,7 +184,7 @@ def test_classify_scenario_extra_branch_upgrades_free_templates():
 
 def test_classify_scenario_branch_override():
     scenario = make_scenario(3, (True,), [monomial_free((2,), (2,), 1)])
-    final, _ = run(scenario, 4)
+    final = run(scenario, 4)
     (leaf,) = classify_scenario(final, branch_overrides={0: 2})
     assert leaf.kind is TemplateKind.MONOMIAL_PAIR
 
@@ -208,7 +208,7 @@ def test_lift_commutes_with_column_permutation(p, rnd):
 
 def test_reseed_divisorial_round():
     scenario = make_scenario(3, (True,), [monomial_pair((2, 0), (0, 3), 1)])
-    final, _ = run(scenario, 64)
+    final = run(scenario, 64)
     leaves = classify_scenario(final)
     presentations = reseed(leaves, final, (True,))
     assert len(presentations) == len(leaves)
@@ -231,7 +231,7 @@ def test_reseed_transverse_round_and_smooth_exclusion():
             transverse(2),
         ],
     )
-    final, _ = run(scenario, 64)
+    final = run(scenario, 64)
     leaves = classify_scenario(final)
     flipped = reseed(leaves, final, (False, True))
     # chart-1 leaves become transverse pairs; chart-2 smooth leaves vanish

@@ -95,8 +95,8 @@ def test_free_center_order_can_wander_forever():
 
     p = monomial_pair((0, 0, 0, 3), (3, 3, 2, 0), 1)
     scenario = make_scenario(5, (True,), [p])
-    final, trace = run(scenario, 64)
-    assert [s.value for s in trace.steps] == [9, 9, 6, 2, 1]
+    final = run(scenario, 64)
+    assert [s.value for s in final.history] == [9, 9, 6, 2, 1]
     assert not final.locus()
     with pytest.raises(BoundExceededError):
         exhaustive_search([p], SearchBound(max_entry=8, max_k=5, max_depth=64))

@@ -51,8 +51,8 @@ def test_policy_run_within_oracle_bounds(scenario):
     result = exhaustive_search(
         presentations, SearchBound(max_entry=16, max_k=4, max_depth=64)
     )
-    final, trace = run(scenario, 256)
-    assert result.min_depth <= len(trace.steps) <= result.max_depth
+    final = run(scenario, 256)
+    assert result.min_depth <= len(final.history) <= result.max_depth
     assert not final.locus()
     assert all(is_principal(e.presentation) for e in final.entries)
 
@@ -62,7 +62,7 @@ def test_policy_run_within_oracle_bounds(scenario):
 def test_policy_run_always_terminates(scenario):
     # any column count: the max-first policy terminates even where free
     # center choice need not
-    final, trace = run(scenario, 512)
+    final = run(scenario, 512)
     assert not final.locus()
     assert all(is_principal(e.presentation) for e in final.entries)
 
@@ -72,7 +72,7 @@ def test_policy_run_always_terminates(scenario):
 def test_final_state_passes_full_validation(scenario):
     # step() checks only the descendants it creates; the state it ends in
     # must still pass every check the constructor runs on input.
-    final, _ = run(scenario, 512)
+    final = run(scenario, 512)
     rebuilt = Scenario(
         n=final.n, charts=final.charts, entries=final.entries, next_id=final.next_id
     )
@@ -88,17 +88,17 @@ def test_step_lower_bound_never_exceeds_a_real_run(scenario):
         [e.presentation for e in scenario.entries],
         SearchBound(max_entry=16, max_k=4, max_depth=64),
     )
-    _, trace = run(scenario, 256)
+    final = run(scenario, 256)
     assert bound <= result.min_depth
-    assert bound <= len(trace.steps)
+    assert bound <= len(final.history)
 
 
 @settings(max_examples=40, deadline=None)
 @given(free_presentations())
 def test_step_lower_bound_is_exact_for_one_free_presentation(p):
     scenario = make_scenario(p.k + 1, (True,), [p])
-    _, trace = run(scenario, 256)
-    assert step_lower_bound(scenario) == len(trace.steps) == sum(a - b for a, b in p.columns())
+    final = run(scenario, 256)
+    assert step_lower_bound(scenario) == len(final.history) == sum(a - b for a, b in p.columns())
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,15 +109,15 @@ def test_incremental_centers_match_a_full_rebuild(scenario):
     # records a from-scratch enumeration of its active entries gives.  The
     # states are read only after the run ends, so a later step must leave
     # every earlier state's views alone.
-    _, trace = run(scenario, 512)
+    final = run(scenario, 512)
     states = [scenario]
     while states[-1].locus():
         states.append(step(states[-1]))
-    assert len(states) == len(trace.steps) + 1
+    assert len(states) == len(final.history) + 1
     roots = len(scenario.entries)
     for i, s in enumerate(states):
-        prefix = trace.steps[:i]
-        assert s.history.steps == prefix
+        prefix = final.history[:i]
+        assert s.history == prefix
         grown = sum(len(t.descendants) - len(t.parents) for t in prefix)
         assert len(s.entries) == roots + grown
         rebuilt = Scenario(n=s.n, charts=s.charts, entries=s.entries, next_id=s.next_id)

@@ -48,7 +48,7 @@ def test_step_replaces_parent_with_descendants():
 
 def test_step_records_invariants():
     after = step(euclid_scenario())
-    (trace_step,) = after.history.steps
+    (trace_step,) = after.history
     assert trace_step.phase is Phase.TWO_POINT
     assert trace_step.value == 6
     assert trace_step.before.two_point_max == 6
@@ -68,13 +68,13 @@ def test_step_is_pure():
     assert first is not second
     # stepping on from one successor leaves its sibling and the origin alone
     third = step(first)
-    assert len(third.history.steps) == 2
+    assert len(third.history) == 2
     assert first.history == second.history
-    assert len(first.history.steps) == 1
+    assert len(first.history) == 1
     assert step(second) == third
     assert scenario.entries == entries
     assert scenario.next_id == next_id
-    assert scenario.history.steps == ()
+    assert scenario.history == ()
 
 
 def _counted_ladder(monkeypatch, n):
@@ -91,9 +91,9 @@ def _counted_ladder(monkeypatch, n):
     with monkeypatch.context() as m:
         for name in ("is_principal", "locus_report"):
             m.setattr(principalize, name, counting(name, getattr(principalize, name)))
-        final, trace = run(scenario, n + 1)
-    descendants = sum(len(s.descendants) for s in trace.steps)
-    return calls, len(trace.steps), descendants
+        final = run(scenario, n + 1)
+    descendants = sum(len(s.descendants) for s in final.history)
+    return calls, len(final.history), descendants
 
 
 def test_step_work_does_not_grow_with_leaf_count(monkeypatch):
@@ -119,26 +119,26 @@ def test_run_euclid_terminates_within_oracle_depth():
     result = exhaustive_search(
         [e.presentation for e in scenario.entries], SearchBound(8, 4, 32)
     )
-    final, trace = run(scenario, 64)
-    assert result.min_depth <= len(trace.steps) <= result.max_depth
+    final = run(scenario, 64)
+    assert result.min_depth <= len(final.history) <= result.max_depth
     assert not final.locus()
     assert all(is_principal(e.presentation) for e in final.entries)
-    values = [s.value for s in trace.steps]
+    values = [s.value for s in final.history]
     assert values == [6, 2, 1]
 
 
 def test_run_single_unit_drop():
     scenario = make_scenario(3, (True,), [monomial_free((1,), (0,), 1)])
-    final, trace = run(scenario, 4)
-    assert len(trace.steps) == 1
-    assert trace.steps[0].before.one_point_max == 1
-    assert trace.steps[0].after.one_point_max == 0
+    final = run(scenario, 4)
+    assert len(final.history) == 1
+    assert final.history[0].before.one_point_max == 1
+    assert final.history[0].after.one_point_max == 0
 
 
 def test_run_already_principal():
     scenario = make_scenario(3, (True,), [monomial_pair((1, 1), (2, 3), 1)])
-    final, trace = run(scenario, 4)
-    assert trace.steps == ()
+    final = run(scenario, 4)
+    assert final.history == ()
     assert final is scenario
 
 
@@ -147,7 +147,7 @@ def test_run_budget_exceeded():
         run(euclid_scenario(), 1)
     # the error carries the complete state reached, and it is immutable
     reached = info.value.scenario
-    assert len(reached.history.steps) == info.value.steps == 1
+    assert len(reached.history) == info.value.steps == 1
     assert reached == step(euclid_scenario())
     assert reached.locus()
     with pytest.raises(AttributeError):
@@ -156,9 +156,9 @@ def test_run_budget_exceeded():
 
 def test_ladder_drops_by_exactly_one():
     scenario = make_scenario(3, (True,), [monomial_free((5,), (2,), 1)])
-    final, trace = run(scenario, 16)
-    assert [s.value for s in trace.steps] == [3, 2, 1]
-    for s in trace.steps:
+    final = run(scenario, 16)
+    assert [s.value for s in final.history] == [3, 2, 1]
+    for s in final.history:
         assert s.phase is Phase.ONE_POINT
         assert s.after.one_point_max == s.before.one_point_max - 1
 
@@ -172,8 +172,8 @@ def test_phase_order_one_point_before_two_point():
             monomial_free((4,), (1,), 1),
         ],
     )
-    final, trace = run(scenario, 64)
-    phases = [s.phase for s in trace.steps]
+    final = run(scenario, 64)
+    phases = [s.phase for s in final.history]
     switch = phases.index(Phase.TWO_POINT)
     assert all(p is Phase.ONE_POINT for p in phases[:switch])
     assert all(p is Phase.TWO_POINT for p in phases[switch:])
@@ -189,26 +189,26 @@ def test_charts_processed_in_index_order():
             monomial_pair((2, 0), (0, 3), 1),
         ],
     )
-    final, trace = run(scenario, 64)
-    chart_sequence = [s.chart_index for s in trace.steps]
+    final = run(scenario, 64)
+    chart_sequence = [s.chart_index for s in final.history]
     assert chart_sequence == sorted(chart_sequence)
     assert chart_sequence[-1] == 2
-    assert trace.steps[-1].phase is Phase.TRANSVERSE
+    assert final.history[-1].phase is Phase.TRANSVERSE
 
 
 def test_identical_presentations_share_a_step():
     p = monomial_pair((2, 0), (0, 3), 1)
     scenario = make_scenario(3, (True,), [p, p])
     after = step(scenario)
-    assert len(after.history.steps[0].parents) == 2
-    final, trace = run(scenario, 64)
-    assert len(trace.steps) == 3  # same as a single copy: steps are shared
+    assert len(after.history[0].parents) == 2
+    final = run(scenario, 64)
+    assert len(final.history) == 3  # same as a single copy: steps are shared
 
 
 def test_run_is_deterministic():
-    final1, trace1 = run(euclid_scenario(), 64)
-    final2, trace2 = run(euclid_scenario(), 64)
-    assert trace1 == trace2
+    final1 = run(euclid_scenario(), 64)
+    final2 = run(euclid_scenario(), 64)
+    assert final1.history == final2.history
     assert final1.entries == final2.entries
 
 
@@ -218,9 +218,9 @@ def test_principality_is_persistent():
         (True,),
         [monomial_pair((1, 2, 0), (0, 1, 1), 1), monomial_free((3,), (0,), 1)],
     )
-    final, trace = run(scenario, 64)
+    final = run(scenario, 64)
     principal_seen: set[int] = set()
-    for s in trace.steps:
+    for s in final.history:
         for pid, _ in s.parents:
             assert pid not in principal_seen
         for d in s.descendants:
@@ -240,8 +240,8 @@ def test_policy_depth_within_oracle_bounds():
     for presentations in cases:
         scenario = make_scenario(4, (True,), list(presentations))
         result = exhaustive_search(presentations, SearchBound(12, 4, 32))
-        final, trace = run(scenario, 128)
-        assert result.min_depth <= len(trace.steps) <= result.max_depth
+        final = run(scenario, 128)
+        assert result.min_depth <= len(final.history) <= result.max_depth
 
 
 def test_scenario_validation():
@@ -262,5 +262,5 @@ def test_default_budget_positive_and_sufficient():
     scenario = euclid_scenario()
     budget = default_budget(scenario)
     assert budget >= 3
-    final, trace = run(scenario, budget)
+    final = run(scenario, budget)
     assert not final.locus()

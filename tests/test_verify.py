@@ -37,6 +37,10 @@ MUTATIONS = {
     "chart_flags_flipped": lambda d: d["rounds"][0].__setitem__(
         "charts", [not flag for flag in d["rounds"][0]["charts"]]
     ),
+    "round_index_lie": lambda d: d["rounds"][0].__setitem__("round", 7),
+    "embedded_scenario_version": lambda d: d["scenario"].__setitem__("version", 2),
+    "embedded_scenario_unknown_key": lambda d: d["scenario"].__setitem__("colour", "red"),
+    "embedded_scenario_name_type": lambda d: d["scenario"].__setitem__("name", 5),
 }
 
 
@@ -53,6 +57,25 @@ def test_mutation_rejected(base_trace, name, tmp_path):
 
 def test_pristine_trace_verifies(base_trace):
     verify_trace(copy.deepcopy(base_trace))
+
+
+@pytest.mark.parametrize(
+    "name, invariant",
+    [
+        ("round_index_lie", "replay"),
+        ("embedded_scenario_version", "embedded scenario"),
+        ("embedded_scenario_unknown_key", "embedded scenario"),
+        ("embedded_scenario_name_type", "embedded scenario"),
+    ],
+)
+def test_replay_side_mutation_names_its_invariant(base_trace, name, invariant):
+    # the recorded checks pass on these; only the replay's whole-round
+    # comparison or the embedded scenario's schema check rejects them
+    doc = copy.deepcopy(base_trace)
+    MUTATIONS[name](doc)
+    with pytest.raises(VerificationError) as info:
+        verify_trace(doc)
+    assert (info.value.invariant, info.value.round_index, info.value.step_index) == (invariant, 0, None)
 
 
 def test_flipped_chart_flags_fail_well_formedness(base_trace):
