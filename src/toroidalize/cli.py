@@ -92,6 +92,8 @@ def _fail(code: int, kind: str, report: dict) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.max_steps is not None and args.max_steps < 0:
+        return _fail(EXIT_SCHEMA, "bounds", {"message": "--max-steps must be non-negative"})
     try:
         scenario, plans, doc = load_scenario(args.scenario)
     except SchemaError as exc:

@@ -3,12 +3,13 @@
 Once every presentation is principal, one of u, v divides the other and
 the morphism factors through the blowup of the base point on the surface.
 This module rewrites each leaf in terms of regular parameters at its new
-image point (``lift``), classifies the rewritten form against the toroidal
-templates for its own chart's divisor, and then settles the global picture
-(``classify_global``): when the image lies on a second branch of the full
-target divisor that the chart's own divisor does not see, the
-free-coordinate template upgrades to a rank-2 pair by adjoining the second
-branch's equation as a fresh coordinate.
+image point (``lift``, one rule on exponent rows: divide the larger
+monomial by the smaller), classifies the rewritten form against the
+toroidal templates for its own chart's divisor, and then settles the
+global picture (``classify_global``): when the image lies on a second
+branch of the full target divisor that the chart's own divisor does not
+see, the free-coordinate template upgrades to a rank-2 pair by adjoining
+the second branch's equation as a fresh coordinate.
 
 Leaves in transverse charts lift to a smooth pair; they match a template
 too once a branch of the target divisor passes through their image
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .forms import (
+    DIVISORIAL_FORMS,
     Form,
     FormError,
     MonomialPresentation,
@@ -37,7 +39,6 @@ from .forms import (
     match_template,
     monomial_free,
     monomial_pair,
-    power_unit,
     power_unit_from_rows,
     row_rank,
     transverse,
@@ -87,71 +88,40 @@ class LiftedPresentation:
 def lift(p: MonomialPresentation) -> LiftedPresentation:
     """Rewrite a principal presentation in parameters at its lifted image.
 
-    The choice between u = u1, v = u1*v1 and u = u1*v1, v = v1 follows
-    which side divides which; when both divide (equal monomial parts) the
-    image sits at an interior exceptional point and the first choice
-    applies after shifting the unit.
+    The smaller monomial divides the larger: the quotient rows are
+    (u, v - u) at the U origin (u = u1, v = u1*v1) when u divides v, and
+    (u - v, v) at the V origin (u = u1*v1, v = v1) when not.  They form a
+    rank-2 pair, or a power pair when proportional.  Equal monomial parts
+    leave the unit (or the free coordinate) as the new parameter: a free
+    coordinate lifts to the U origin, a unit to an interior point.
     """
     if not is_principal(p):
         raise NotPrincipalError("lift is undefined before principalization completes")
-    c = p.chart_index
-    form = p.form
-    diff = tuple(a - b for a, b in p.columns())  # exponents of u / v
-
-    if form is Form.MONOMIAL_FREE:
-        # u = x^a, v = x^a * y: u1 = x^a, v1 = y.
-        lifted = monomial_free(p.u_row, (0,) * p.k, c)
-        return _lifted(lifted, SurfaceChart.U, own_branches=1)
-
-    if form is Form.NESTED:
-        if row_rank(diff, p.v_row) != 2:
-            raise NoTemplateMatchError(
-                "nested shape with proportional quotient violates dominance"
-            )
-        lifted = monomial_pair(diff, p.v_row, c)
-        return _lifted(lifted, SurfaceChart.V, own_branches=2)
-
-    if form is Form.MONOMIAL_UNIT:
-        if p.u_row == p.v_row:
-            # v = u * unit: interior image point, the shifted unit becomes the
-            # fresh coordinate.
-            lifted = monomial_free(p.u_row, (0,) * p.k, c)
-            return _lifted(lifted, SurfaceChart.INTERIOR, own_branches=1)
-        if row_rank(diff, p.v_row) == 2:
-            lifted = monomial_pair(diff, p.v_row, c)
-        else:
-            lifted = power_unit_from_rows(diff, p.v_row, c)
-        return _lifted(lifted, SurfaceChart.V, own_branches=2)
-
-    if form is Form.POWER_UNIT:
-        if p.power_u < p.power_v:
-            lifted = power_unit(p.base, p.power_u, p.power_v - p.power_u, c)
-            return _lifted(lifted, SurfaceChart.U, own_branches=2)
-        if p.power_u == p.power_v:
-            lifted = monomial_free(p.u_row, (0,) * p.k, c)
-            return _lifted(lifted, SurfaceChart.INTERIOR, own_branches=1)
-        lifted = power_unit(p.base, p.power_u - p.power_v, p.power_v, c)
-        return _lifted(lifted, SurfaceChart.V, own_branches=2)
-
-    if form is Form.MONOMIAL_PAIR:
-        if divides(p.u_row, p.v_row):
-            rows = (p.u_row, tuple(b - a for a, b in p.columns()))
-            chart = SurfaceChart.U
-        else:
-            rows = (diff, p.v_row)
-            chart = SurfaceChart.V
-        lifted = monomial_pair(rows[0], rows[1], c)
-        return _lifted(lifted, chart, own_branches=2, note=COMPARABLE_PAIR_NOTE)
-
-    if form in (Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT):
-        chart = SurfaceChart.INTERIOR if form is Form.TRANSVERSE_UNIT else SurfaceChart.V
-        if form is Form.TRANSVERSE_UNIT and not p.alpha_nonzero:
-            chart = SurfaceChart.U
+    c, u, v = p.chart_index, p.u_row, p.v_row
+    if p.form not in DIVISORIAL_FORMS:
+        # The smooth pair: v/u = x_2 (+ alpha) at U or inside, u/v = x_1 at V.
+        chart = SurfaceChart.V if p.form is Form.TRANSVERSE_PRODUCT else SurfaceChart.U
+        if p.alpha_nonzero:
+            chart = SurfaceChart.INTERIOR
         return LiftedPresentation(
             presentation=transverse(c), surface_chart=chart, own_branch_count=0, kind=None
         )
+    if u == v:
+        chart = SurfaceChart.U if p.form is Form.MONOMIAL_FREE else SurfaceChart.INTERIOR
+        return _lifted(monomial_free(u, (0,) * p.k, c), chart, own_branches=1)
 
-    raise NotPrincipalError(f"form {form.value} does not lift")
+    if divides(u, v):
+        rows, chart = (u, tuple(b - a for a, b in zip(u, v))), SurfaceChart.U
+    else:
+        rows, chart = (tuple(a - b for a, b in zip(u, v)), v), SurfaceChart.V
+    if row_rank(*rows) == 2:
+        lifted = monomial_pair(*rows, c)
+    elif p.form is Form.NESTED:
+        raise NoTemplateMatchError("nested shape with proportional quotient violates dominance")
+    else:
+        lifted = power_unit_from_rows(*rows, c)
+    note = COMPARABLE_PAIR_NOTE if p.form is Form.MONOMIAL_PAIR else None
+    return _lifted(lifted, chart, own_branches=2, note=note)
 
 
 def _lifted(

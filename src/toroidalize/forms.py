@@ -19,12 +19,15 @@ crossing divisor) plus at most one extra coordinate.  Eight shapes occur:
 
 The first five shapes occur at points whose base chart carries the target
 divisor through the base point; the last three occur where it does not.
-A presentation records only its chart's index: whether the base point lies
-on that chart's divisor is stored once, in ``Scenario.charts``, and
-:func:`check_chart` matches a shape's family against that flag.
-Exponents are arbitrary-precision non-negative integers, and field constants
-are never stored: the only fact any rule consumes is whether the shift
-``alpha`` is zero, so it is kept as a boolean flag.
+A presentation is its form, its chart's index, its two exponent rows and
+the ``alpha`` flag, nothing more: a power pair's base and powers are read
+off its rows.  Whether the base point lies on the chart's divisor is
+stored once, in ``Scenario.charts``, and :func:`check_chart` matches a
+shape's family against that flag.  Principality is one divisibility test
+on the rows (:func:`is_principal`).  Exponents are arbitrary-precision
+non-negative integers, and field constants are never stored: the only
+fact any rule consumes is whether the shift ``alpha`` is zero, so it is
+kept as a boolean flag.
 
 All types are immutable value objects and safe to share across threads.
 """
@@ -73,18 +76,12 @@ DIVISORIAL_FORMS = frozenset(
     }
 )
 
-#: Shapes that occur in charts whose base point misses the target divisor.
-TRANSVERSE_FORMS = frozenset(
-    {Form.TRANSVERSE, Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT}
-)
-
 
 def check_chart(form: Form, on_divisor: bool) -> None:
     """A divisorial shape sits on a divisor chart, a transverse one off it."""
-    if form in DIVISORIAL_FORMS and not on_divisor:
-        raise FormError(f"{form.value} requires a chart with the base point on the divisor")
-    if form in TRANSVERSE_FORMS and on_divisor:
-        raise FormError(f"{form.value} requires a chart with the base point off the divisor")
+    if (form in DIVISORIAL_FORMS) != on_divisor:
+        side = "off" if on_divisor else "on"
+        raise FormError(f"{form.value} requires a chart with the base point {side} the divisor")
 
 
 def validate_row(row: ExponentRow, *, what: str = "exponent row") -> None:
@@ -128,9 +125,8 @@ class MonomialPresentation:
 
     ``u_row`` and ``v_row`` hold the exponents of the divisor variables in
     u and v; any trailing free coordinate or unit factor is implied by the
-    form tag.  For ``POWER_UNIT`` the canonical data is the primitive
-    ``base`` row with the two powers, and ``u_row``/``v_row`` are the
-    expanded products (kept explicit so column access is uniform).
+    form tag.  A ``POWER_UNIT`` pair stores its expanded rows too, and its
+    ``base``, ``power_u`` and ``power_v`` are read off them.
     ``chart_index`` is 1-based and stable under every blowup of a run; the
     chart's divisor flag lives in ``Scenario.charts``.
     """
@@ -139,9 +135,6 @@ class MonomialPresentation:
     chart_index: int
     u_row: ExponentRow = ()
     v_row: ExponentRow = ()
-    base: ExponentRow | None = None
-    power_u: int = 0
-    power_v: int = 0
     alpha_nonzero: bool = False
 
     def __post_init__(self) -> None:
@@ -166,6 +159,19 @@ class MonomialPresentation:
     def columns(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.u_row, self.v_row))
 
+    @property
+    def base(self) -> ExponentRow:
+        """A power pair's primitive base g, with u_row = power_u * g."""
+        return primitive_part(self.u_row)[0]
+
+    @property
+    def power_u(self) -> int:
+        return primitive_part(self.u_row)[1]
+
+    @property
+    def power_v(self) -> int:
+        return primitive_part(self.v_row)[1]
+
 
 def _validate_monomial_free(p: MonomialPresentation) -> None:
     # u = x^a, v = x^b * y: u cuts the whole divisor, so every a_i > 0.
@@ -174,7 +180,6 @@ def _validate_monomial_free(p: MonomialPresentation) -> None:
     _check_u_positive_v_divides(p)
     if p.alpha_nonzero:
         raise FormError("monomial_free carries a bare free coordinate, not a unit shift")
-    _no_power_data(p)
 
 
 def _validate_nested(p: MonomialPresentation) -> None:
@@ -185,7 +190,6 @@ def _validate_nested(p: MonomialPresentation) -> None:
         raise FormError("nested requires v to divide u strictly")
     if p.alpha_nonzero:
         raise FormError("nested carries no unit factor")
-    _no_power_data(p)
 
 
 def _validate_monomial_unit(p: MonomialPresentation) -> None:
@@ -196,25 +200,14 @@ def _validate_monomial_unit(p: MonomialPresentation) -> None:
         raise FormError("monomial_unit requires v to vanish at the point (some b_i > 0)")
     if not p.alpha_nonzero:
         raise FormError("monomial_unit requires a nonzero unit shift")
-    _no_power_data(p)
 
 
 def _validate_power_unit(p: MonomialPresentation) -> None:
-    if p.base is None:
-        raise FormError("power_unit requires a base row")
-    validate_row(p.base, what="base")
-    if not p.base or not all(g > 0 for g in p.base):
-        raise FormError("power_unit base entries must all be positive")
-    if primitive_part(p.base)[1] != 1:
-        raise FormError("power_unit base must be primitive")
-    if p.power_u < 1 or p.power_v < 1:
-        raise FormError("power_unit powers must be positive")
+    # u = (x^g)^m, v = (x^g)^t: proportional rows over a positive base g.
+    if not (p.k and all(p.u_row) and all(p.v_row) and p.base == primitive_part(p.v_row)[0]):
+        raise FormError("power_unit needs two proportional rows with positive entries")
     if not p.alpha_nonzero:
         raise FormError("power_unit requires a nonzero unit shift")
-    if p.u_row != tuple(p.power_u * g for g in p.base):
-        raise FormError("power_unit u_row must equal power_u * base")
-    if p.v_row != tuple(p.power_v * g for g in p.base):
-        raise FormError("power_unit v_row must equal power_v * base")
 
 
 def _validate_monomial_pair(p: MonomialPresentation) -> None:
@@ -226,7 +219,6 @@ def _validate_monomial_pair(p: MonomialPresentation) -> None:
         raise FormError("monomial_pair requires rank [u_row; v_row] = 2")
     if p.alpha_nonzero:
         raise FormError("monomial_pair carries no unit factor")
-    _no_power_data(p)
 
 
 def _validate_transverse(p: MonomialPresentation) -> None:
@@ -234,14 +226,12 @@ def _validate_transverse(p: MonomialPresentation) -> None:
         raise FormError("transverse must have u = x_1, v = x_2")
     if p.alpha_nonzero:
         raise FormError("transverse carries no unit factor")
-    _no_power_data(p)
 
 
 def _validate_transverse_unit(p: MonomialPresentation) -> None:
     # u = x_1, v = x_1 (x_2 + alpha); here alpha may vanish.
     if p.columns() != ((1, 1),):
         raise FormError("transverse_unit must have u = x_1, v = x_1 * (x_2 + alpha)")
-    _no_power_data(p)
 
 
 def _validate_transverse_product(p: MonomialPresentation) -> None:
@@ -249,7 +239,6 @@ def _validate_transverse_product(p: MonomialPresentation) -> None:
         raise FormError("transverse_product must have u = x_1 x_2, v = x_2")
     if p.alpha_nonzero:
         raise FormError("transverse_product carries no unit factor")
-    _no_power_data(p)
 
 
 def _check_u_positive_v_divides(p: MonomialPresentation) -> None:
@@ -257,11 +246,6 @@ def _check_u_positive_v_divides(p: MonomialPresentation) -> None:
         raise FormError(f"{p.form.value} requires every u-exponent positive")
     if not divides(p.v_row, p.u_row):
         raise FormError(f"{p.form.value} requires v-exponents <= u-exponents")
-
-
-def _no_power_data(p: MonomialPresentation) -> None:
-    if p.base is not None or p.power_u or p.power_v:
-        raise FormError(f"{p.form.value} does not take power data")
 
 
 _VALIDATORS = {
@@ -293,26 +277,25 @@ def monomial_unit(u_row, v_row, chart_index: int) -> MonomialPresentation:
 
 
 def power_unit(base, power_u: int, power_v: int, chart_index: int) -> MonomialPresentation:
+    """The power pair (x^base)^power_u, (x^base)^power_v * (y + alpha)."""
     base = tuple(base)
-    return MonomialPresentation(
-        Form.POWER_UNIT,
-        chart_index,
-        tuple(power_u * g for g in base),
-        tuple(power_v * g for g in base),
-        base=base,
-        power_u=power_u,
-        power_v=power_v,
-        alpha_nonzero=True,
+    validate_row(base, what="base")
+    if not base or not all(base):
+        raise FormError("power_unit base entries must all be positive")
+    if primitive_part(base)[1] != 1:
+        raise FormError("power_unit base must be primitive")
+    if power_u < 1 or power_v < 1:
+        raise FormError("power_unit powers must be positive")
+    return power_unit_from_rows(
+        tuple(power_u * g for g in base), tuple(power_v * g for g in base), chart_index
     )
 
 
 def power_unit_from_rows(u_row, v_row, chart_index: int) -> MonomialPresentation:
-    """Canonical power-pair shape for two proportional nonzero rows."""
-    gu, mu = primitive_part(tuple(u_row))
-    gv, mv = primitive_part(tuple(v_row))
-    if gu != gv:
-        raise FormError("rows are not proportional, no common primitive base")
-    return power_unit(gu, mu, mv, chart_index)
+    """The power pair with two proportional rows of positive entries."""
+    return MonomialPresentation(
+        Form.POWER_UNIT, chart_index, tuple(u_row), tuple(v_row), alpha_nonzero=True
+    )
 
 
 def monomial_pair(u_row, v_row, chart_index: int) -> MonomialPresentation:
@@ -341,19 +324,12 @@ def is_principal(p: MonomialPresentation) -> bool:
     Unit factors are invertible and free coordinates divide nothing, so the
     decision reduces to componentwise divisibility between the monomial
     parts, with the fresh coordinate of ``MONOMIAL_FREE`` blocking v from
-    dividing u.
+    dividing u.  The transverse shapes' rows are their coordinate
+    exponents, so the same test decides them.
     """
-    form = p.form
-    if form is Form.MONOMIAL_FREE:
-        # (x^a, x^b * y) is principal iff x^a divides x^b.
-        return divides(p.u_row, p.v_row)
-    if form in (Form.NESTED, Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT):
-        return True
-    if form in (Form.MONOMIAL_UNIT, Form.POWER_UNIT, Form.MONOMIAL_PAIR):
-        return divides(p.u_row, p.v_row) or divides(p.v_row, p.u_row)
-    if form is Form.TRANSVERSE:
-        return False
-    raise FormError(f"unknown form {form!r}")
+    return divides(p.u_row, p.v_row) or (
+        p.form is not Form.MONOMIAL_FREE and divides(p.v_row, p.u_row)
+    )
 
 
 # -- toroidal target templates -------------------------------------------------

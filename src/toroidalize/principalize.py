@@ -38,6 +38,7 @@ from .forms import (
     Form,
     FormError,
     MonomialPresentation,
+    check_chart,
     is_principal,
 )
 from .invariants import CenterRecord, Snapshot, locus_report, summarize
@@ -230,10 +231,10 @@ def _check_entry(entry: Entry, principal: bool, n: int, charts: tuple[bool, ...]
     idx = p.chart_index
     if idx > len(charts):
         raise FormError(f"presentation {entry.id} references missing chart {idx}")
-    if (p.form in DIVISORIAL_FORMS) != charts[idx - 1]:
-        raise FormError(
-            f"presentation {entry.id} disagrees with chart {idx} about the base point"
-        )
+    try:
+        check_chart(p.form, charts[idx - 1])
+    except FormError as exc:
+        raise FormError(f"presentation {entry.id}: {exc}") from exc
     _check_dimension(p, n, entry.id)
     if entry.active == principal:
         raise FormError(
@@ -397,8 +398,8 @@ def run(scenario: Scenario, max_steps: int) -> Scenario:
     :class:`StepBudgetExceededError`; a run whose :func:`step_lower_bound`
     already exceeds the budget fails before its first step.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     if step_lower_bound(scenario) > max_steps:
         raise StepBudgetExceededError(0, scenario)
     current = scenario

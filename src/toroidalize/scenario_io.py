@@ -1,9 +1,9 @@
 """Scenario and trace (de)serialization with canonical JSON.
 
-Scenario files and traces are plain JSON validated against the schemas in
-``toroidalize/schemas`` (also shipped under ``docs/schemas``).  Emission is
-canonical: sorted keys, two-space indent, trailing newline, no timestamps,
-so identical runs produce byte-identical files.
+Scenario files and traces are plain JSON validated against the schemas
+packaged in ``toroidalize/schemas``.  Emission is canonical: sorted keys,
+two-space indent, trailing newline, no timestamps, so identical runs
+produce byte-identical files.
 """
 
 from __future__ import annotations

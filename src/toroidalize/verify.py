@@ -69,7 +69,7 @@ def run_rounds(
                 raise RoundError(round_index, "reseed", exc) from exc
         budget = default_budget(current) if budgets is None else budgets[round_index]
         try:
-            final = run(current, max(budget, 1))
+            final = run(current, budget)
         except StepBudgetExceededError as exc:
             raise RoundError(round_index, "budget", exc) from exc
         try:

@@ -7,6 +7,12 @@ from toroidalize.forms import (
     FormError,
     monomial_free,
     monomial_pair,
+    monomial_unit,
+    nested,
+    power_unit_from_rows,
+    transverse,
+    transverse_product,
+    transverse_unit,
 )
 
 
@@ -17,6 +23,22 @@ def column_grid(max_entry, k):
         u = tuple(a for a, _ in combo)
         v = tuple(b for _, b in combo)
         yield u, v
+
+
+def shape_grid(max_entry, max_k):
+    """Every constructible presentation of every shape on chart 1: the three
+    transverse shapes, then each row shape over ``column_grid`` for k <= max_k."""
+    yield from (
+        transverse(1), transverse_unit(1, False), transverse_unit(1, True), transverse_product(1)
+    )
+    for k in range(1, max_k + 1):
+        for u, v in column_grid(max_entry, k):
+            for make in (monomial_free, nested, monomial_unit, power_unit_from_rows, monomial_pair):
+                try:
+                    p = make(u, v, 1)
+                except FormError:
+                    continue
+                yield p
 
 
 def try_pair(u, v, chart=1):

@@ -78,13 +78,26 @@ def test_unparseable_scenario_exits_2(tmp_path, capsys):
         ("euclid.json", "1", {"message": "locus still nonempty after 1 steps", "round": 0, "steps": 1}),
         # round 0 fits in 3 steps; round 1's lower bound already exceeds them
         ("multi_round.json", "3", {"message": "locus still nonempty after 0 steps", "round": 1, "steps": 0}),
+        # a zero budget allows no step
+        ("euclid.json", "0", {"message": "locus still nonempty after 0 steps", "round": 0, "steps": 0}),
     ],
-    ids=["euclid", "multi_round"],
+    ids=["euclid", "multi_round", "euclid-zero"],
 )
 def test_budget_exceeded_exits_3(fixture, max_steps, detail, tmp_path, capsys):
     code, _ = run_fixture(fixture, tmp_path, extra=["--max-steps", max_steps])
     assert code == 3
     expected = {"status": "error", "kind": "budget", "exit": 3, "detail": detail}
+    assert capsys.readouterr().out == canonical_dumps(expected)
+
+
+@pytest.mark.parametrize("max_steps", ["-1", "-7"])
+def test_negative_budget_exits_2(max_steps, tmp_path, capsys):
+    code, out = run_fixture("euclid.json", tmp_path, extra=[f"--max-steps={max_steps}"])
+    assert code == 2 and not out.exists()
+    expected = {
+        "status": "error", "kind": "bounds", "exit": 2,
+        "detail": {"message": "--max-steps must be non-negative"},
+    }
     assert capsys.readouterr().out == canonical_dumps(expected)
 
 
@@ -326,11 +339,7 @@ def test_trace_schema_validates_real_traces(euclid_trace, tmp_path):
 
 
 def test_docs_schemas_match_packaged_schemas():
-    # docs/schemas is a copy of the packaged schemas: same files, same bytes
+    # the package ships exactly the two schemas, and no copy lives elsewhere
     package = Path(__file__).parent.parent / "src" / "toroidalize" / "schemas"
-    docs = Path(__file__).parent.parent / "docs" / "schemas"
     names = sorted(p.name for p in package.iterdir())
     assert names == ["scenario.schema.json", "trace.schema.json"]
-    assert sorted(p.name for p in docs.iterdir()) == names
-    for name in names:
-        assert (docs / name).read_bytes() == (package / name).read_bytes()

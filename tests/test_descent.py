@@ -11,11 +11,13 @@ from toroidalize.descent import (
     reseed,
 )
 from toroidalize.forms import (
+    DIVISORIAL_FORMS,
     Form,
     FormError,
     NoTemplateMatchError,
     NotPrincipalError,
     TemplateKind,
+    is_principal,
     monomial_free,
     monomial_pair,
     monomial_unit,
@@ -28,7 +30,7 @@ from toroidalize.forms import (
 from toroidalize.oracle import oracle_rank
 from toroidalize.principalize import make_scenario, run
 
-from conftest import pair_presentations
+from conftest import pair_presentations, shape_grid
 
 
 def test_lift_free_equal_rows():
@@ -115,6 +117,30 @@ def test_lift_transverse_shapes_are_smooth():
         assert l.smooth
         assert l.surface_chart is chart
         assert l.own_branch_count == 0
+
+
+def test_lift_rows_multiply_back():
+    # u = u1, v = u1 v1 at U and u = u1 v1, v = v1 at V; equal parts keep u
+    seen = set()
+    for p in shape_grid(4, 3):
+        if p.form not in DIVISORIAL_FORMS or not is_principal(p):
+            continue
+        try:
+            l = lift(p)
+        except NoTemplateMatchError:
+            assert p.form is Form.NESTED
+            continue
+        seen.add(p.form)
+        u1, v1 = l.presentation.u_row, l.presentation.v_row
+        product = tuple(a + b for a, b in zip(u1, v1))
+        if p.u_row == p.v_row:
+            assert l.kind is TemplateKind.FREE_COORDINATE and u1 == p.u_row, p
+        elif l.surface_chart is SurfaceChart.U:
+            assert (u1, product) == (p.u_row, p.v_row), p
+        else:
+            assert l.surface_chart is SurfaceChart.V
+            assert (product, v1) == (p.u_row, p.v_row), p
+    assert seen == DIVISORIAL_FORMS
 
 
 def test_lift_requires_principal():

@@ -27,7 +27,7 @@ from toroidalize.forms import (
 from toroidalize.oracle import oracle_principal, oracle_rank
 from toroidalize.principalize import make_scenario
 
-from conftest import column_grid, try_free, try_pair
+from conftest import column_grid, shape_grid, try_pair
 
 
 # -- construction validation ---------------------------------------------------
@@ -126,14 +126,12 @@ def test_principal_by_form_family():
 
 def test_principal_matches_oracle_small_grid():
     # full grid lives in the acceptance suite; this is the fast dev check
-    for k in (1, 2, 3):
-        for u, v in column_grid(3, k):
-            p = try_pair(u, v)
-            if p is not None:
-                assert is_principal(p) == oracle_principal(u, v), (u, v)
-            p = try_free(u, v)
-            if p is not None:
-                assert is_principal(p) == oracle_principal(u, v, v_free=True), (u, v)
+    seen = set()
+    for p in shape_grid(3, 3):
+        v_free = p.form is Form.MONOMIAL_FREE
+        assert is_principal(p) == oracle_principal(p.u_row, p.v_row, v_free=v_free), p
+        seen.add(p.form)
+    assert seen == set(Form)
 
 
 def test_rank_agrees_with_minor_oracle():

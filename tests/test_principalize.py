@@ -140,6 +140,10 @@ def test_run_already_principal():
     final = run(scenario, 4)
     assert final.history == ()
     assert final is scenario
+    # a zero budget allows no step, which a principal scenario needs
+    assert run(scenario, 0) is scenario
+    with pytest.raises(ValueError):
+        run(scenario, -1)
 
 
 def test_run_budget_exceeded():
@@ -247,6 +251,9 @@ def test_policy_depth_within_oracle_bounds():
 def test_scenario_validation():
     with pytest.raises(FormError):
         make_scenario(3, (False,), [monomial_pair((2, 0), (0, 3), 1)])
+    # a chart mismatch names the presentation it was found in
+    with pytest.raises(FormError, match="^presentation 1: transverse requires a chart with"):
+        make_scenario(3, (True,), [monomial_pair((2, 0), (0, 3), 1), transverse(1)])
     with pytest.raises(FormError):
         make_scenario(2, (True,), [monomial_pair((1, 2, 0), (0, 1, 1), 1)])
     with pytest.raises(FormError):
