@@ -136,21 +136,21 @@ def _plan_from_doc(charts: tuple[bool, ...], doc: dict | None) -> RoundPlan:
     )
 
 
-def _load_json(path: str | Path, what: str) -> dict:
+def _read_json(path: str | Path, what: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise SchemaError("$", f"cannot read {what} file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$ (line {exc.lineno})", f"invalid JSON: {exc.msg}") from exc
-    check_schema(doc, f"{what}.schema.json")
-    return doc
 
 
 def load_scenario_doc(path: str | Path) -> dict:
-    return _load_json(path, "scenario")
+    doc = _read_json(path, "scenario")
+    check_schema(doc, "scenario.schema.json")
+    return doc
 
 
 def scenario_from_doc(doc: dict) -> tuple[Scenario, list[RoundPlan]]:
@@ -305,8 +305,15 @@ def trace_doc(scenario_doc: dict, rounds: list[dict]) -> dict:
     }
 
 
+def read_trace(path: str | Path) -> dict:
+    """Parse a trace file without checking it against the trace schema."""
+    return _read_json(path, "trace")
+
+
 def load_trace(path: str | Path) -> dict:
-    return _load_json(path, "trace")
+    doc = read_trace(path)
+    check_schema(doc, "trace.schema.json")
+    return doc
 
 
 def write_trace(doc: dict, path: str | Path) -> None:

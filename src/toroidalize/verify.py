@@ -10,6 +10,11 @@ templates -- and (b) the embedded scenario passes the scenario-file
 schema and :func:`run_rounds`, replayed from it with each round's recorded
 step count as its budget, reproduces every round document whole.  The
 first violated invariant is reported with its round and step index.
+
+``toroidalize verify`` runs these checks before the trace schema, and
+accepts a trace only when the trace :func:`verify_trace` regenerates
+matches it byte for byte; only when that fails does the full trace schema
+run.
 """
 
 from __future__ import annotations
@@ -255,7 +260,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
         )
 
 
-def _replay(trace: dict) -> None:
+def _replay(trace: dict) -> dict:
     try:
         check_schema(trace["scenario"], "scenario.schema.json")
         scenario, plans = scenario_from_doc(trace["scenario"])
@@ -268,9 +273,11 @@ def _replay(trace: dict) -> None:
             0, None, "rounds", f"trace has {len(rounds)} rounds, scenario plans {len(plans)}"
         )
     replayed = run_rounds(scenario, plans, [len(round_doc["steps"]) for round_doc in rounds])
+    expected_rounds = []
     try:
         for round_index, (round_doc, expected) in enumerate(zip(rounds, replayed)):
             _compare_round(expected, round_doc, round_index)
+            expected_rounds.append(expected)
     except RoundError as exc:
         if exc.stage == "budget":
             invariant, message = "replay", f"replay needs more steps than recorded: {exc}"
@@ -278,8 +285,10 @@ def _replay(trace: dict) -> None:
             invariant, message = exc.stage, str(exc)
         raise VerificationError(exc.round_index, None, invariant, message) from exc.__cause__
 
-    if trace["summary"] != trace_doc(trace["scenario"], rounds)["summary"]:
+    regenerated = trace_doc(trace["scenario"], expected_rounds)
+    if trace["summary"] != regenerated["summary"]:
         raise VerificationError(0, None, "summary", "summary totals disagree with rounds")
+    return regenerated
 
 
 def _compare_round(expected: dict, round_doc: dict, round_index: int) -> None:
@@ -305,12 +314,18 @@ def _compare_round(expected: dict, round_doc: dict, round_index: int) -> None:
         raise VerificationError(round_index, None, "replay", "round document differs")
 
 
-def verify_trace(trace: dict) -> None:
-    """Raise :class:`VerificationError` on the first violated invariant."""
+def verify_trace(trace: dict) -> dict:
+    """Raise :class:`VerificationError` on the first violated invariant.
+
+    Otherwise return the trace its embedded scenario regenerates: that
+    scenario document, the replayed round documents and their summary.
+    ``trace`` need not have passed the trace schema; if it has not, other
+    exceptions than :class:`VerificationError` may escape.
+    """
     try:
         for round_index, round_doc in enumerate(trace["rounds"]):
             _check_round(round_doc, round_index)
-        _replay(trace)
+        return _replay(trace)
     except VerificationError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from toroidalize.forms import (
     transverse_product,
     transverse_unit,
 )
+from toroidalize.scenario_io import check_schema
+from toroidalize.verify import verify_trace
 
 
 def column_grid(max_entry, k):
@@ -73,3 +76,12 @@ def free_presentations(draw, max_entry=6, max_k=4):
     u = tuple(draw(st.integers(1, max_entry)) for _ in range(k))
     v = tuple(draw(st.integers(0, a)) for a in u)
     return monomial_free(u, v, 1)
+
+
+def assert_verifies_as_written(trace):
+    """``trace``, as the engine wrote it, passes the trace schema and
+    ``verify_trace`` regenerates it byte for byte.  ``verify`` accepts a
+    trace without the schema only on such a regeneration, so this property
+    is what makes that sound."""
+    check_schema(trace, "trace.schema.json")
+    assert json.dumps(verify_trace(trace), sort_keys=True) == json.dumps(trace, sort_keys=True)

@@ -9,6 +9,8 @@ from toroidalize.cli import main
 from toroidalize.scenario_io import canonical_dumps, load_trace
 from toroidalize.verify import VerificationError, verify_trace
 
+from conftest import assert_verifies_as_written
+
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json"))
 
@@ -27,7 +29,7 @@ def test_fixture_inventory():
 def test_run_and_verify_every_fixture(fixture, tmp_path, capsys):
     code, out = run_fixture(fixture, tmp_path)
     assert code == 0
-    assert out.exists()
+    assert_verifies_as_written(json.loads(out.read_text()))
     assert main(["verify", str(out)]) == 0
 
 
@@ -186,6 +188,18 @@ def test_oracle_exits(tmp_path, capsys):
     assert report["min_depth"] == 3 and report["max_depth"] == 3
     assert main(["oracle", str(FIXTURES / "euclid.json"), "--depth", "1"]) == 3
     assert main(["oracle", str(FIXTURES / "smooth.json"), "--depth", "2"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--max-entry", "--max-k"])
+def test_oracle_nonpositive_bound_exits_2(flag, capsys):
+    assert main(["oracle", str(FIXTURES / "euclid.json"), flag, "0"]) == 2
+    expected = {
+        "status": "error",
+        "kind": "bounds",
+        "exit": 2,
+        "detail": {"message": "search bounds must be positive"},
+    }
+    assert capsys.readouterr().out == canonical_dumps(expected)
 
 
 def _stack_depth():

@@ -12,9 +12,9 @@ from toroidalize.forms import (
 from toroidalize.oracle import SearchBound, exhaustive_search
 from toroidalize.principalize import Scenario, make_scenario, run, step, step_lower_bound
 from toroidalize.scenario_io import RoundPlan, scenario_to_doc, trace_doc
-from toroidalize.verify import run_rounds, verify_trace
+from toroidalize.verify import run_rounds
 
-from conftest import free_presentations, pair_presentations, try_pair
+from conftest import assert_verifies_as_written, free_presentations, pair_presentations, try_pair
 
 
 @st.composite
@@ -129,7 +129,7 @@ def test_incremental_centers_match_a_full_rebuild(scenario):
 def test_pipeline_traces_always_verify(scenario):
     plan = RoundPlan(charts=scenario.charts)
     trace = trace_doc(scenario_to_doc(scenario), list(run_rounds(scenario, [plan])))
-    verify_trace(trace)
+    assert_verifies_as_written(trace)
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,7 +139,7 @@ def test_monomial_pair_traces_always_verify(p):
     # can stay level or rise; each descendant's own measure still drops
     scenario = make_scenario(p.k + 1, (True,), [p])
     plan = RoundPlan(charts=scenario.charts)
-    verify_trace(trace_doc(scenario_to_doc(scenario), list(run_rounds(scenario, [plan]))))
+    assert_verifies_as_written(trace_doc(scenario_to_doc(scenario), list(run_rounds(scenario, [plan]))))
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,4 +154,4 @@ def test_multi_round_traces_always_verify(scenario, extra_chart):
         {"charts": [{"q_in_divisor": f} for f in flipped]}
     ]
     trace = trace_doc(doc, list(run_rounds(scenario, plans)))
-    verify_trace(trace)
+    assert_verifies_as_written(trace)

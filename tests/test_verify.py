@@ -1,14 +1,19 @@
 """Adversarial trace mutations: the verifier must reject each with a named
 invariant, never crash."""
 
+import contextlib
 import copy
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toroidalize.cli import main
-from toroidalize.scenario_io import canonical_dumps
+from toroidalize.scenario_io import SchemaError, canonical_dumps, check_schema, load_trace
 from toroidalize.verify import VerificationError, verify_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,3 +127,153 @@ def test_replay_template_failure_is_reported_as_classification(tmp_path, capsys)
     scenario.write_text(json.dumps(doc["scenario"]))
     assert main(["run", str(scenario), "-o", str(tmp_path / "t.json")]) == 4
     assert json.loads(capsys.readouterr().out)["kind"] == "classification"
+
+
+# -- the schema-free acceptance path keeps every verdict ---------------------------
+
+def schema_first_verify(path):
+    """Reference for ``verify`` with the full trace schema before any check:
+    ``load_trace``, then ``verify_trace``, reported as ``verify`` reports."""
+    try:
+        trace = load_trace(path)
+    except SchemaError as exc:
+        detail = {"path": exc.path, "message": exc.reason}
+        report = {"status": "error", "kind": "schema", "exit": 2, "detail": detail}
+    else:
+        try:
+            verify_trace(trace)
+        except VerificationError as exc:
+            detail = {
+                "invariant": exc.invariant,
+                "round": exc.round_index,
+                "step": exc.step_index,
+                "message": str(exc),
+            }
+            report = {"status": "error", "kind": "verification", "exit": 5, "detail": detail}
+        else:
+            report = {"status": "ok", "summary": trace["summary"]}
+    sys.stdout.write(canonical_dumps(report))
+    return report.get("exit", 0)
+
+
+def verdict(verify, path):
+    """(exit code, stdout) of ``verify(path)``; an escaping exception stands
+    in for the exit code."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = verify(path)
+    except Exception as exc:  # compared, not swallowed
+        code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue()
+
+
+def cli_verify(path):
+    return main(["verify", str(path)])
+
+
+def _first_step(d):
+    return d["rounds"][0]["steps"][0]
+
+
+PINNED = {
+    # the JSON spelling of a number is the schema's business, not dict equality's
+    "initial_id_as_float": (
+        lambda d: d["rounds"][0]["initial"][0].__setitem__("id", 0.0), 0, '"status": "ok"'
+    ),
+    "summary_steps_as_float": (lambda d: d["summary"].__setitem__("steps", 3.0), 0, '"steps": 3.0'),
+    "principal_as_int": (
+        lambda d: d["rounds"][0]["initial"][0].__setitem__("principal", 0),
+        2,
+        '"path": "$.rounds[0].initial[0].principal"',
+    ),
+    "version_true": (lambda d: d.__setitem__("version", True), 2, '"path": "$.version"'),
+    "round_extra_key": (lambda d: d["rounds"][0].__setitem__("extra", 1), 2, '"path": "$.rounds[0]"'),
+    "step_value_raised": (
+        lambda d: _first_step(d).__setitem__("value", _first_step(d)["value"] + 1),
+        5,
+        '"invariant": "phase policy"',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_edit_verdict(base_trace, name, tmp_path):
+    edit, code, marker = PINNED[name]
+    doc = copy.deepcopy(base_trace)
+    edit(doc)
+    path = tmp_path / f"{name}.trace.json"
+    path.write_text(canonical_dumps(doc))
+    got = verdict(cli_verify, path)
+    assert got == verdict(schema_first_verify, path)
+    assert got[0] == code
+    assert marker in got[1]
+
+
+def _node_paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, value in children:
+        yield from _node_paths(value, path + (key,))
+
+
+def _replacements(value):
+    if isinstance(value, bool):
+        return [not value, int(value), str(value).lower()]
+    if isinstance(value, int):
+        return [float(value), bool(value), str(value), value + 1]
+    if isinstance(value, str):
+        return [value + "x", None]
+    return [0]
+
+
+@st.composite
+def one_node_edits(draw, doc):
+    """``doc`` with one node changed: a scalar retyped or bumped, a key
+    deleted or added, or a list truncated or given a duplicate element."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_node_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else doc
+    if isinstance(node, dict):
+        if node and draw(st.booleans()):
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            node["extra"] = draw(st.sampled_from([1, "x", None]))
+    elif isinstance(node, list):
+        if node and draw(st.booleans()):
+            node.append(copy.deepcopy(draw(st.sampled_from(node))))
+        else:
+            del node[-1:]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_replacements(node)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_traces(base_trace, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "three_point.trace.json"
+    assert main(["run", str(FIXTURES / "three_point.json"), "-o", str(out)]) == 0
+    return [base_trace, json.loads(out.read_text())], out.parent
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_node_edit_keeps_the_schema_first_verdict(fuzz_traces, data):
+    traces, work = fuzz_traces
+    doc = data.draw(one_node_edits(data.draw(st.sampled_from(traces))))
+    path = work / "edited.trace.json"
+    path.write_text(canonical_dumps(doc))
+    got = verdict(cli_verify, path)
+    assert got == verdict(schema_first_verify, path)
+    try:
+        check_schema(doc, "trace.schema.json")
+    except SchemaError:
+        assert got[0] == 2
