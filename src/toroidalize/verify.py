@@ -4,7 +4,8 @@ both ``run`` and the replay go through.
 A trace is accepted only if (a) its recorded data satisfies the descent
 invariants on its own terms -- every non-principal descendant's (largest
 center value, number of centers at it) strictly below its parent's, read
-off the recorded columns; phase maxima that never rise; closed form
+off the recorded columns by the engine-independent column model that the
+oracle's search also runs on; phase maxima that never rise; closed form
 families; persistent principality; empty terminal locus; well-formed
 templates -- and (b) the embedded scenario passes the scenario-file
 schema and :func:`run_rounds`, replayed from it with each round's recorded
@@ -23,6 +24,7 @@ from typing import Iterator
 
 from .descent import classify_scenario, reseed
 from .forms import FormError, NoTemplateMatchError, NotPrincipalError, is_principal
+from .oracle import RawPoint, raw_measure
 from .principalize import (
     Scenario,
     StepBudgetExceededError,
@@ -104,15 +106,11 @@ _PHASE_MAX = {"one_point": "one_point_max", "two_point": "two_point_max"}
 
 def _measure(doc: dict) -> tuple[int, int]:
     """(largest center value, number of centers at it) of a recorded
-    presentation, from its columns and counted with multiplicity."""
-    columns = list(zip(doc.get("u", ()), doc.get("v", ())))
-    d = [a - b for a, b in columns if b < a]
-    if doc["form"] == "monomial_pair":
-        values = [d_i * (b - a) for d_i in d for a, b in columns if a < b]
-    else:
-        values = d if doc["form"] == "monomial_free" else []
-    top = max(values, default=0)
-    return (top, values.count(top))
+    presentation, from its columns; (0, 0) for shapes no center meets."""
+    if doc["form"] not in ("monomial_free", "monomial_pair"):
+        return (0, 0)
+    columns = tuple(zip(doc["u"], doc["v"]))
+    return raw_measure(RawPoint(doc["chart"], columns, doc["form"] == "monomial_free"))
 
 
 def _presentation(doc: dict, charts: tuple[bool, ...], round_index: int, step_index: int | None):

@@ -74,6 +74,28 @@ def test_unparseable_scenario_exits_2(tmp_path, capsys):
     assert main(["run", str(bad), "-o", str(tmp_path / "t.json")]) == 2
 
 
+@pytest.mark.parametrize("verb", ["run", "verify", "oracle"])
+def test_deeply_nested_json_exits_2(verb, tmp_path, capsys):
+    # deeper than json.loads can recurse: a report, not a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main([verb, str(deep)]) == 2
+    expected = {
+        "status": "error", "kind": "schema", "exit": 2,
+        "detail": {"path": "$", "message": "invalid JSON: nested deeper than the parser allows"},
+    }
+    assert capsys.readouterr().out == canonical_dumps(expected)
+
+
+def test_unwritable_trace_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.json"
+    assert main(["run", str(FIXTURES / "euclid.json"), "-o", str(out)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kind"], report["detail"]["path"]) == ("schema", "$")
+    assert report["detail"]["message"].startswith("cannot write trace file: ")
+    assert str(out) in report["detail"]["message"]
+
+
 @pytest.mark.parametrize(
     "fixture, max_steps, detail",
     [

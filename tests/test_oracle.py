@@ -1,17 +1,28 @@
 """The brute-force verifiers themselves, pinned first: every derived value
 elsewhere in the suite was computed by these."""
 
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toroidalize import oracle
+from toroidalize.cli import main
 from toroidalize.forms import monomial_free, monomial_pair, transverse
 from toroidalize.oracle import (
     BoundExceededError,
+    RawPoint,
     SearchBound,
     exhaustive_search,
     oracle_principal,
     oracle_rank,
+    raw_centers,
 )
+from toroidalize.verify import _measure
 
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_oracle_principal_incomparable():
@@ -48,7 +59,6 @@ def test_search_bound_validation():
 def test_search_euclid_all_paths():
     p = monomial_pair((2, 0), (0, 3), 1)
     result = exhaustive_search([p], SearchBound(max_entry=8, max_k=4, max_depth=32))
-    assert result.all_terminate
     assert (result.min_depth, result.max_depth) == (3, 3)
 
 
@@ -106,3 +116,167 @@ def test_search_rejects_out_of_bound_input():
     p = monomial_pair((9, 0), (0, 3), 1)
     with pytest.raises(ValueError):
         exhaustive_search([p], SearchBound(max_entry=8, max_k=4, max_depth=8))
+
+
+# -- the column model against the two models it replaced ---------------------------
+#
+# Test-local copies of the oracle's former center list and child rule, and of
+# verify's former descent measure, kept as the specification the shared column
+# model must reproduce.
+
+def _spec_centers(pt):
+    out = []
+    if pt.v_free:
+        for a, b in pt.cols:
+            if b < a:
+                out.append((pt.chart, "free", (a, b)))
+    else:
+        for a_i, b_i in pt.cols:
+            if a_i - b_i <= 0:
+                continue
+            for a_j, b_j in pt.cols:
+                if b_j - a_j > 0:
+                    out.append((pt.chart, "pair", ((a_i, b_i), (a_j, b_j))))
+    return sorted(set(out))
+
+
+def _spec_principal(pt):
+    return oracle_principal(
+        tuple(a for a, _ in pt.cols), tuple(b for _, b in pt.cols), v_free=pt.v_free
+    )
+
+
+def _spec_children(pt, signature):
+    chart, kind, data = signature
+    if chart != pt.chart:
+        return None
+    children = []
+    if kind == "free":
+        if not pt.v_free or data not in pt.cols or data[1] >= data[0]:
+            return None
+        a_i, b_i = data
+        idx = pt.cols.index(data)
+        rest = pt.cols[:idx] + pt.cols[idx + 1 :]
+        bumped = tuple(sorted(rest + ((a_i, b_i + 1),)))
+        children.append(RawPoint(chart, bumped, True))
+        children.append(RawPoint(chart, bumped, False))
+        children.append(RawPoint(chart, tuple(sorted(rest + ((a_i, b_i + 1), (a_i, b_i)))), False))
+    else:
+        if pt.v_free:
+            return None
+        col_i, col_j = data
+        if col_i not in pt.cols or col_j not in pt.cols:
+            return None
+        if col_i == col_j and pt.cols.count(col_i) < 2:
+            return None
+        a_i, b_i = col_i
+        a_j, b_j = col_j
+        if (a_i - b_i) * (b_j - a_j) <= 0:
+            return None
+        rest = list(pt.cols)
+        rest.remove(col_i)
+        rest.remove(col_j)
+        rest = tuple(rest)
+        summed = (a_i + a_j, b_i + b_j)
+        children.append(RawPoint(chart, tuple(sorted(rest + (col_i, summed))), False))
+        children.append(RawPoint(chart, tuple(sorted(rest + (summed,))), False))
+        children.append(RawPoint(chart, tuple(sorted(rest + (summed, col_j))), False))
+    return [child for child in children if not _spec_principal(child)]
+
+
+def _spec_apply(state, signature):
+    out = []
+    for pt in state:
+        children = _spec_children(pt, signature)
+        out.extend([pt] if children is None else children)
+    return tuple(sorted(set(out)))
+
+
+def _spec_measure(doc):
+    columns = list(zip(doc.get("u", ()), doc.get("v", ())))
+    d = [a - b for a, b in columns if b < a]
+    if doc["form"] == "monomial_pair":
+        values = [d_i * (b - a) for d_i in d for a, b in columns if a < b]
+    else:
+        values = d if doc["form"] == "monomial_free" else []
+    top = max(values, default=0)
+    return (top, values.count(top))
+
+
+@st.composite
+def raw_points(draw, chart=None, sort=False):
+    k = draw(st.integers(1, 5))
+    cols = tuple(draw(st.tuples(st.integers(0, 6), st.integers(0, 6))) for _ in range(k))
+    return RawPoint(
+        draw(st.integers(1, 2)) if chart is None else chart,
+        tuple(sorted(cols)) if sort else cols,
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pt=raw_points(),
+    state=st.lists(raw_points(chart=1, sort=True), min_size=1, max_size=3),
+    form=st.sampled_from(["monomial_free", "monomial_pair", "nested", "monomial_unit"]),
+)
+def test_column_model_matches_the_models_it_replaced(pt, state, form):
+    assert sorted(set(raw_centers(pt))) == _spec_centers(pt)
+    assert oracle._raw_principal(pt) == _spec_principal(pt)
+
+    state = tuple(sorted(set(state)))
+    for sig in sorted({sig for p in state for sig in raw_centers(p)}):
+        assert oracle._apply(state, sig) == _spec_apply(state, sig)
+        assert oracle._apply((pt,), sig) == _spec_apply((pt,), sig)
+
+    u, v = [a for a, _ in pt.cols], [b for _, b in pt.cols]
+    free_doc = {"form": "monomial_free" if pt.v_free else "monomial_pair", "chart": 1, "u": u, "v": v}
+    for doc in (free_doc, {**free_doc, "form": form}):
+        assert _measure(doc) == _spec_measure(doc)
+
+
+# (min_depth, max_depth, states_explored) of every fixture at --depth 32, or
+# None where some center order overruns the bound (exit 3).
+DEPTH_32 = {
+    "all_forms.json": (3, 3, 7),
+    "case_two_a.json": (3, 3, 5),
+    "comparable_pair.json": (0, 0, 0),
+    "euclid.json": (3, 3, 3),
+    "free_k2.json": (2, 2, 2),
+    "knee.json": (1, 1, 1),
+    "matched_pair.json": (3, 3, 3),
+    "mixed_charts.json": (6, 6, 23),
+    "multi_round.json": (3, 3, 3),
+    "multi_round_mixed.json": (5, 5, 23),
+    "nested_seed.json": (0, 0, 0),
+    "omega_big.json": (7, 7, 7),
+    "omega_ladder.json": (4, 4, 4),
+    "omega_omega_mixed.json": (6, 6, 15),
+    "policy_essential.json": None,
+    "power_equal.json": (0, 0, 0),
+    "power_seed.json": (0, 0, 0),
+    "seed_free.json": (3, 3, 5),
+    "smooth.json": (1, 1, 1),
+    "three_point.json": (2, 2, 3),
+    "three_point_degenerate.json": (1, 1, 1),
+    "transverse_multi.json": (2, 2, 3),
+    "two_pairs.json": (6, 6, 15),
+    "unit_equal.json": (0, 0, 0),
+    "unit_power.json": (0, 0, 0),
+    "unit_seed.json": (0, 0, 0),
+}
+
+
+def test_depth_pins_cover_every_fixture():
+    assert sorted(DEPTH_32) == sorted(f.name for f in FIXTURES.glob("*.json"))
+
+
+@pytest.mark.parametrize("fixture", sorted(DEPTH_32))
+def test_oracle_depth_32_pin(fixture, capsys):
+    code = main(["oracle", str(FIXTURES / fixture), "--depth", "32"])
+    report = json.loads(capsys.readouterr().out)
+    if DEPTH_32[fixture] is None:
+        assert (code, report["kind"]) == (3, "depth")
+    else:
+        assert code == 0
+        assert (report["min_depth"], report["max_depth"], report["states_explored"]) == DEPTH_32[fixture]
