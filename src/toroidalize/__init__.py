@@ -26,13 +26,7 @@ from .forms import (
     transverse_product,
     transverse_unit,
 )
-from .invariants import (
-    Snapshot,
-    center_value,
-    enumerate_centers,
-    locus_report,
-    summarize,
-)
+from .invariants import Snapshot, centers, locus_report, summarize
 from .transform import (
     Center,
     CenterKind,

@@ -2,9 +2,10 @@
 
 The locus where the pulled-back base-point ideal fails to be principal is
 a union of codimension-2 subvarieties; on each presentation it is cut out
-by finitely many coordinate pairs.  This module enumerates those pairs as
-:class:`~toroidalize.transform.Center` values and attaches an integer to
-each one, read off at the generic point of the center:
+by finitely many coordinate pairs.  :func:`centers` enumerates them in one
+pass per presentation, as :class:`~toroidalize.transform.Center` values,
+and attaches an integer to each, read off at the generic point of the
+center:
 
 * a free-coordinate center ``x_i = y = 0`` on u = x^a, v = x^b y carries
   ``a_i - b_i`` (the 1-point invariant),
@@ -23,70 +24,42 @@ signature's class (``transverse``, ``free``, ``pair``) fixes the phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
-from .forms import Form, FormError, MonomialPresentation
+from .forms import Form, MonomialPresentation
 from .forms import is_principal  # noqa: F401  (bench/tracing.py counts calls through this name)
 from .transform import Center, CenterKind
 
 
-def enumerate_centers(p: MonomialPresentation) -> list[Center]:
-    """All permissible codimension-2 centers through this presentation.
+def centers(p: MonomialPresentation) -> Iterator[tuple[Center, tuple, int]]:
+    """Every permissible codimension-2 center through this presentation,
+    with its signature and value, in (i, j) order.
 
-    Pair centers are oriented with the u-dominant index first, so each
-    qualifying unordered pair appears exactly once.  Forms that are
-    principal by construction contribute nothing.
+    The signature ``(chart, class, columns)`` names the subvariety the
+    center lies on, ``columns`` being the (u, v) exponent columns of its
+    divisor variables (one free, two pair, none transverse): centers with
+    equal signatures carry one value.  Pair centers are oriented with the
+    u-dominant index first, so each qualifying unordered pair appears
+    exactly once.  Forms that are principal by construction yield nothing.
     """
-    if p.form is Form.MONOMIAL_FREE:
-        return [
-            Center(CenterKind.FREE, i)
-            for i in range(1, p.k + 1)
-            if p.v_row[i - 1] < p.u_row[i - 1]
-        ]
-    if p.form is Form.MONOMIAL_PAIR:
-        found = []
-        for i in range(1, p.k + 1):
-            d_i = p.u_row[i - 1] - p.v_row[i - 1]
-            if d_i <= 0:
-                continue
-            for j in range(1, p.k + 1):
-                e_j = p.v_row[j - 1] - p.u_row[j - 1]
-                if e_j > 0:
-                    found.append(Center(CenterKind.PAIR, i, j))
-        return found
-    if p.form is Form.TRANSVERSE:
-        return [Center(CenterKind.FREE, 1)]
-    return []
-
-
-def center_value(p: MonomialPresentation, c: Center) -> int:
-    """The invariant carried by one center, computed from its columns only.
-
-    A center with no 1-point (pair centers) carries the 2-point value of
-    its generic point, where every other variable is a unit; transverse
-    centers carry 0.
-    """
-    if p.form is Form.MONOMIAL_FREE and c.kind is CenterKind.FREE:
-        a_i, b_i = p.column(c.i)
-        return a_i - b_i
-    if p.form is Form.MONOMIAL_PAIR and c.kind is CenterKind.PAIR:
-        a_i, b_i = p.column(c.i)
-        a_j, b_j = p.column(c.j)
-        return (a_i - b_i) * (b_j - a_j)
-    if p.form is Form.TRANSVERSE and c.kind is CenterKind.FREE:
-        return 0
-    raise FormError(f"center {c} does not belong to a {p.form.value} presentation")
-
-
-def center_signature(p: MonomialPresentation, c: Center) -> tuple:
-    """(chart, class, exponent columns): centers with equal signatures lie
-    on one subvariety and carry one value."""
     chart = p.chart_index
     if p.form is Form.TRANSVERSE:
-        return (chart, "transverse", ())
-    if c.kind is CenterKind.FREE:
-        return (chart, "free", p.column(c.i))
-    return (chart, "pair", (p.column(c.i), p.column(c.j)))
+        yield Center(CenterKind.FREE, 1), (chart, "transverse", ()), 0
+    elif p.form is Form.MONOMIAL_FREE:
+        for i, (a, b) in enumerate(p.columns(), start=1):
+            if b < a:
+                yield Center(CenterKind.FREE, i), (chart, "free", ((a, b),)), a - b
+    elif p.form is Form.MONOMIAL_PAIR:
+        columns = p.columns()
+        for i, col_i in enumerate(columns, start=1):
+            d_i = col_i[0] - col_i[1]
+            if d_i <= 0:
+                continue
+            for j, col_j in enumerate(columns, start=1):
+                e_j = col_j[1] - col_j[0]
+                if e_j > 0:
+                    yield Center(CenterKind.PAIR, i, j), (chart, "pair", (col_i, col_j)), d_i * e_j
 
 
 @dataclass(frozen=True)
@@ -95,9 +68,6 @@ class CenterRecord:
     center: Center
     signature: tuple
     value: int
-
-    def sort_key(self) -> tuple:
-        return (self.presentation_id, *self.center.sort_key())
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,14 +102,11 @@ def summarize(records: Sequence[CenterRecord]) -> Snapshot:
 def locus_report(
     entries: Iterable[tuple[int, MonomialPresentation]],
 ) -> tuple[CenterRecord, ...]:
-    """Every center through the given (id, presentation) pairs.
-
-    Ordering is deterministic: records sort by (presentation id, center
-    kind, indices).
-    """
-    records: list[CenterRecord] = []
-    for pid, p in entries:
-        for c in enumerate_centers(p):
-            records.append(CenterRecord(pid, c, center_signature(p, c), center_value(p, c)))
-    records.sort(key=CenterRecord.sort_key)
-    return tuple(records)
+    """Every center through the given (id, presentation) pairs, in
+    (presentation id, center) order: ascending ids, and each presentation's
+    centers in the (i, j) order :func:`centers` yields them."""
+    return tuple(
+        CenterRecord(pid, *center)
+        for pid, p in sorted(entries, key=itemgetter(0))
+        for center in centers(p)
+    )

@@ -265,12 +265,12 @@ _PHASE_OF_CLASS = {"transverse": Phase.TRANSVERSE, "free": Phase.ONE_POINT, "pai
 
 
 def _select_target(records: tuple[CenterRecord, ...]) -> CenterRecord:
-    """The lowest record at the largest value among the free centers, or
+    """The first record at the largest value among the free centers, or
     among all when none is free: off the divisor all are transverse (value
     0) and on it none is, so 1-point steps come before 2-point ones."""
     pool = [r for r in records if r.signature[1] == "free"] or records
     best = max(r.value for r in pool)
-    return min((r for r in pool if r.value == best), key=CenterRecord.sort_key)
+    return next(r for r in pool if r.value == best)
 
 
 def step(scenario: Scenario) -> Scenario:
@@ -369,18 +369,30 @@ def default_budget(scenario: Scenario) -> int:
 
 
 def step_lower_bound(scenario: Scenario) -> int:
-    """The fewest steps :func:`run` can take: the largest sum of a_i - b_i
-    over one active free presentation u = x^a, v = x^b y.
+    """The fewest steps :func:`run` can take.  A step blows up each
+    presentation at most once, so no run is shorter than the largest of
+    these bounds over the active presentations:
 
-    A free blowup raises one b_i by 1 and leaves only its ``A_ORIGIN``
-    child in that shape, and a step blows up each presentation at most
-    once, so no step lowers a presentation's sum by more than 1.
+    * free u = x^a, v = x^b y: the sum of a_i - b_i, since a blowup raises
+      one b_i by 1 and leaves only its ``A_ORIGIN`` child in that shape;
+    * pair u = x^a, v = x^b with u-excesses d_i = a_i - b_i > 0 and
+      v-excesses e_j = b_j - a_j > 0: ceil(sum e / max d), since the
+      ``A_ORIGIN`` child of x_i = x_j = 0 adds column i to column j, so its
+      sum e is lower by at most max d, its max d is no larger, and it stays
+      non-principal while an e_j is left; ``B_ORIGIN`` mirrors this with
+      ceil(sum d / max e).
     """
-    sums: dict[int, int] = {}
-    for r in scenario.locus():
-        if r.signature[1] == "free":
-            sums[r.presentation_id] = sums.get(r.presentation_id, 0) + r.value
-    return max(sums.values(), default=0)
+    bound = 0
+    for entries in scenario._active.values():
+        for entry in entries:
+            p = entry.presentation
+            d = [a - b for a, b in p.columns() if a > b]
+            if p.form is Form.MONOMIAL_FREE:
+                bound = max(bound, sum(d))
+            elif p.form is Form.MONOMIAL_PAIR:
+                e = [b - a for a, b in p.columns() if b > a]
+                bound = max(bound, -(-sum(e) // max(d)), -(-sum(d) // max(e)))
+    return bound
 
 
 def run(scenario: Scenario, max_steps: int) -> Scenario:

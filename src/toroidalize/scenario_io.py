@@ -201,14 +201,7 @@ def center_to_doc(c: Center) -> dict:
 
 
 def signature_to_doc(signature: tuple) -> dict:
-    _, cls, data = signature
-    if cls == "free":
-        columns = [list(data)]
-    elif cls == "pair":
-        columns = [list(col) for col in data]
-    else:
-        columns = []
-    return {"class": cls, "columns": columns}
+    return {"class": signature[1], "columns": [list(col) for col in signature[2]]}
 
 
 def snapshot_to_doc(s: Snapshot) -> dict:

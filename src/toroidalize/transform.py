@@ -68,9 +68,6 @@ class Center:
         elif self.j is not None:
             raise FormError("free center takes a single index")
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (0 if self.kind is CenterKind.FREE else 1, self.i, self.j or 0)
-
 
 class ChartPoint(Enum):
     A_ORIGIN = "a_origin"

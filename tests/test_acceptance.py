@@ -21,7 +21,7 @@ from toroidalize.forms import (
     monomial_free,
     monomial_pair,
 )
-from toroidalize.invariants import center_value, enumerate_centers
+from toroidalize.invariants import centers
 from toroidalize.oracle import SearchBound, exhaustive_search, oracle_principal, oracle_rank
 from toroidalize.principalize import Phase, make_scenario, run
 from toroidalize.scenario_io import canonical_dumps
@@ -102,10 +102,7 @@ def test_criterion_2_two_point_strict_descent():
             for d in s.descendants:
                 if d.principal:
                     continue
-                child_max = max(
-                    center_value(d.presentation, c)
-                    for c in enumerate_centers(d.presentation)
-                )
+                child_max = max(value for _, _, value in centers(d.presentation))
                 assert child_max < s.before.two_point_max, (data, s.index)
         assert not final.locus()
     assert checked > 100
@@ -137,7 +134,7 @@ def test_criterion_4_closure_of_form_families():
     for k in (2, 3, 4):
         for u, v in grid_pairs(6, k):
             p = monomial_pair(u, v, 1)
-            for c in enumerate_centers(p):
+            for c, _, _ in centers(p):
                 for d in blowup(p, c).descendants:
                     assert d.presentation.form in allowed[Form.MONOMIAL_PAIR]
                     if not is_principal(d.presentation):
@@ -146,7 +143,7 @@ def test_criterion_4_closure_of_form_families():
     for k in (1, 2, 3, 4):
         for u, v in grid_frees(6, k):
             p = monomial_free(u, v, 1)
-            for c in enumerate_centers(p):
+            for c, _, _ in centers(p):
                 for d in blowup(p, c).descendants:
                     assert d.presentation.form in allowed[Form.MONOMIAL_FREE]
                     if not is_principal(d.presentation):

@@ -99,13 +99,16 @@ def test_unwritable_trace_path_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "fixture, max_steps, detail",
     [
-        ("euclid.json", "1", {"message": "locus still nonempty after 1 steps", "round": 0, "steps": 1}),
+        # euclid's lower bound is 2 and its run takes 3 steps
+        ("euclid.json", "2", {"message": "locus still nonempty after 2 steps", "round": 0, "steps": 2}),
         # round 0 fits in 3 steps; round 1's lower bound already exceeds them
         ("multi_round.json", "3", {"message": "locus still nonempty after 0 steps", "round": 1, "steps": 0}),
+        # a budget below the lower bound is refused before the first step
+        ("euclid.json", "1", {"message": "locus still nonempty after 0 steps", "round": 0, "steps": 0}),
         # a zero budget allows no step
         ("euclid.json", "0", {"message": "locus still nonempty after 0 steps", "round": 0, "steps": 0}),
     ],
-    ids=["euclid", "multi_round", "euclid-zero"],
+    ids=["euclid", "multi_round", "euclid-below-bound", "euclid-zero"],
 )
 def test_budget_exceeded_exits_3(fixture, max_steps, detail, tmp_path, capsys):
     code, _ = run_fixture(fixture, tmp_path, extra=["--max-steps", max_steps])
@@ -126,17 +129,22 @@ def test_negative_budget_exits_2(max_steps, tmp_path, capsys):
 
 
 def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):
-    # u = x^(10^20) needs 10^20 one-point steps, far past the default budget
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps({
-        "version": 1, "n": 2,
-        "charts": [{"q_in_divisor": True}],
-        "presentations": [{"chart": 1, "form": "monomial_free", "u": [10**20], "v": [0]}],
-    }))
-    assert main(["run", str(big), "-o", str(tmp_path / "t.json")]) == 3
-    report = json.loads(capsys.readouterr().out)
-    assert report["kind"] == "budget"
-    assert report["detail"]["steps"] == 0
+    # u = x^(10^20) needs 10^20 one-point steps and u = x_1, v = x_2^(10^12)
+    # at least 10^12 two-point steps, both far past the default budget
+    for n, presentation in (
+        (2, {"chart": 1, "form": "monomial_free", "u": [10**20], "v": [0]}),
+        (3, {"chart": 1, "form": "monomial_pair", "u": [1, 0], "v": [0, 10**12]}),
+    ):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({
+            "version": 1, "n": n,
+            "charts": [{"q_in_divisor": True}],
+            "presentations": [presentation],
+        }))
+        assert main(["run", str(big), "-o", str(tmp_path / "t.json")]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["kind"] == "budget"
+        assert report["detail"]["steps"] == 0
 
 
 def test_classification_failure_exits_4(tmp_path, capsys):

@@ -1,69 +1,75 @@
-import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from toroidalize.forms import (
+    Form,
     FormError,
     is_principal,
     monomial_free,
     monomial_pair,
+    monomial_unit,
     nested,
+    power_unit,
     transverse,
+    transverse_product,
+    transverse_unit,
 )
 from toroidalize.invariants import (
-    center_value,
-    enumerate_centers,
+    centers,
     locus_report,
     summarize,
 )
 from toroidalize.transform import Center, CenterKind
 
-from conftest import column_grid, pair_presentations, try_free, try_pair
+from conftest import column_grid, pair_presentations, shape_grid, try_free, try_pair
+
+
+def found(p):
+    return [c for c, _, _ in centers(p)]
+
+
+def values(p):
+    return [value for _, _, value in centers(p)]
 
 
 def test_enumerate_centers_free():
     p = monomial_free((3, 1), (1, 1), 1)
-    assert enumerate_centers(p) == [Center(CenterKind.FREE, 1)]
+    assert list(centers(p)) == [(Center(CenterKind.FREE, 1), (1, "free", ((3, 1),)), 2)]
 
 
 def test_enumerate_centers_pair_oriented():
     p = monomial_pair((2, 0), (0, 3), 1)
-    assert enumerate_centers(p) == [Center(CenterKind.PAIR, 1, 2)]
+    assert list(centers(p)) == [(Center(CenterKind.PAIR, 1, 2), (1, "pair", ((2, 0), (0, 3))), 6)]
 
 
 def test_enumerate_centers_principal_pair_empty():
-    assert enumerate_centers(monomial_pair((1, 1), (2, 3), 1)) == []
+    assert found(monomial_pair((1, 1), (2, 3), 1)) == []
 
 
 def test_enumerate_centers_terminal_forms_empty():
-    assert enumerate_centers(nested((2, 2), (1, 1), 1)) == []
+    assert found(nested((2, 2), (1, 1), 1)) == []
 
 
 def test_enumerate_centers_transverse():
-    assert enumerate_centers(transverse(1)) == [Center(CenterKind.FREE, 1)]
+    assert list(centers(transverse(2))) == [(Center(CenterKind.FREE, 1), (2, "transverse", ()), 0)]
 
 
 def test_one_point_invariant_values():
     # a free-coordinate center carries a - b, the 1-point invariant
     for u, v, value in (((3,), (1,), 2), ((5,), (0,), 5), ((4,), (3,), 1)):
-        p = monomial_free(u, v, 1)
-        assert [center_value(p, c) for c in enumerate_centers(p)] == [value]
+        assert values(monomial_free(u, v, 1)) == [value]
 
 
 def test_one_point_invariant_domain_errors():
     # a principal 1-point presentation carries no center at all
-    assert enumerate_centers(monomial_free((3,), (3,), 1)) == []
-    # a pair center does not belong to a free-coordinate presentation
-    with pytest.raises(FormError):
-        center_value(monomial_free((3, 1), (1, 1), 1), Center(CenterKind.PAIR, 1, 2))
+    assert found(monomial_free((3,), (3,), 1)) == []
 
 
 def test_two_point_invariant_values():
     # (a_1 - b_1)(b_2 - a_2) on the one pair center of a two-column pair
     def value(u, v):
-        p = monomial_pair(u, v, 1)
-        (c,) = enumerate_centers(p)
-        return center_value(p, c)
+        (only,) = values(monomial_pair(u, v, 1))
+        return only
 
     assert value((2, 0), (0, 3)) == 6
     assert value((3, 1), (1, 2)) == 2
@@ -73,10 +79,12 @@ def test_two_point_invariant_values():
 
 def test_center_value_uses_only_center_columns():
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
-    assert center_value(p, Center(CenterKind.PAIR, 1, 3)) == 1
-    assert center_value(p, Center(CenterKind.PAIR, 2, 3)) == 1
+    assert dict(zip(found(p), values(p))) == {
+        Center(CenterKind.PAIR, 1, 3): 1,
+        Center(CenterKind.PAIR, 2, 3): 1,
+    }
     q = monomial_pair((5, 2, 0), (0, 1, 1), 1)
-    assert center_value(q, Center(CenterKind.PAIR, 1, 3)) == 5
+    assert values(q)[0] == 5
 
 
 def test_locus_report_examples():
@@ -121,7 +129,7 @@ def test_centers_empty_iff_principal_small_grid():
             for p in (try_pair(u, v), try_free(u, v)):
                 if p is None:
                     continue
-                assert (enumerate_centers(p) == []) == is_principal(p), (p.form, u, v)
+                assert (found(p) == []) == is_principal(p), (p.form, u, v)
 
 
 @given(pair_presentations(max_entry=6, max_k=4), st.randoms())
@@ -131,6 +139,129 @@ def test_locus_values_invariant_under_column_permutation(p, rnd):
     shuffled = monomial_pair(
         tuple(p.u_row[i] for i in perm), tuple(p.v_row[i] for i in perm), p.chart_index
     )
-    original = sorted(center_value(p, c) for c in enumerate_centers(p))
-    permuted = sorted(center_value(shuffled, c) for c in enumerate_centers(shuffled))
+    original = sorted(values(p))
+    permuted = sorted(values(shuffled))
     assert original == permuted
+
+
+# -- the merge: `centers` against the functions it replaced ---------------------------
+
+def reference_enumerate_centers(p):
+    if p.form is Form.MONOMIAL_FREE:
+        return [
+            Center(CenterKind.FREE, i)
+            for i in range(1, p.k + 1)
+            if p.v_row[i - 1] < p.u_row[i - 1]
+        ]
+    if p.form is Form.MONOMIAL_PAIR:
+        found = []
+        for i in range(1, p.k + 1):
+            if p.u_row[i - 1] - p.v_row[i - 1] <= 0:
+                continue
+            for j in range(1, p.k + 1):
+                if p.v_row[j - 1] - p.u_row[j - 1] > 0:
+                    found.append(Center(CenterKind.PAIR, i, j))
+        return found
+    if p.form is Form.TRANSVERSE:
+        return [Center(CenterKind.FREE, 1)]
+    return []
+
+
+def reference_center_value(p, c):
+    if p.form is Form.MONOMIAL_FREE and c.kind is CenterKind.FREE:
+        a_i, b_i = p.column(c.i)
+        return a_i - b_i
+    if p.form is Form.MONOMIAL_PAIR and c.kind is CenterKind.PAIR:
+        a_i, b_i = p.column(c.i)
+        a_j, b_j = p.column(c.j)
+        return (a_i - b_i) * (b_j - a_j)
+    if p.form is Form.TRANSVERSE and c.kind is CenterKind.FREE:
+        return 0
+    raise FormError(f"center {c} does not belong to a {p.form.value} presentation")
+
+
+def reference_center_signature(p, c):
+    chart = p.chart_index
+    if p.form is Form.TRANSVERSE:
+        return (chart, "transverse", ())
+    if c.kind is CenterKind.FREE:
+        return (chart, "free", p.column(c.i))
+    return (chart, "pair", (p.column(c.i), p.column(c.j)))
+
+
+def reference_sort_key(pid, c):
+    return (pid, 0 if c.kind is CenterKind.FREE else 1, c.i, c.j or 0)
+
+
+def wrapped(signature):
+    """The reference signature with a free center's one column wrapped in a tuple."""
+    chart, cls, columns = signature
+    return (chart, cls, (columns,)) if cls == "free" else signature
+
+
+ROW_SHAPES = {
+    Form.MONOMIAL_FREE: monomial_free,
+    Form.NESTED: nested,
+    Form.MONOMIAL_UNIT: monomial_unit,
+    Form.MONOMIAL_PAIR: monomial_pair,
+}
+
+
+@st.composite
+def any_presentations(draw, max_entry=4, max_k=5):
+    """A presentation of any of the eight shapes, with at most ``max_k`` columns."""
+    form = draw(st.sampled_from(Form))
+    chart = draw(st.integers(1, 3))
+    if form is Form.TRANSVERSE:
+        return transverse(chart)
+    if form is Form.TRANSVERSE_UNIT:
+        return transverse_unit(chart, draw(st.booleans()))
+    if form is Form.TRANSVERSE_PRODUCT:
+        return transverse_product(chart)
+    k = draw(st.integers(1, max_k))
+    if form is Form.POWER_UNIT:
+        base = tuple(draw(st.integers(1, max_entry)) for _ in range(k))
+        make, args = power_unit, (base, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elif form is Form.MONOMIAL_PAIR:
+        u = tuple(draw(st.integers(0, max_entry)) for _ in range(k))
+        v = tuple(draw(st.integers(0, max_entry)) for _ in range(k))
+        make, args = monomial_pair, (u, v)
+    else:
+        u = tuple(draw(st.integers(1, max_entry)) for _ in range(k))
+        v = tuple(draw(st.integers(0, a)) for a in u)
+        make, args = ROW_SHAPES[form], (u, v)
+    try:
+        return make(*args, chart)
+    except FormError:
+        assume(False)
+
+
+def assert_centers_match_the_reference(p):
+    got = list(centers(p))
+    assert [c for c, _, _ in got] == reference_enumerate_centers(p)
+    for c, signature, value in got:
+        assert value == reference_center_value(p, c)
+        assert signature == wrapped(reference_center_signature(p, c))
+
+
+def test_centers_match_the_functions_they_replaced_small_grid():
+    for p in shape_grid(2, 5):
+        assert_centers_match_the_reference(p)
+
+
+@given(st.lists(any_presentations(), max_size=4), st.randoms())
+def test_centers_match_the_functions_they_replaced(ps, rnd):
+    for p in ps:
+        assert_centers_match_the_reference(p)
+
+    entries = list(zip(rnd.sample(range(100), len(ps)), ps))
+    expected = sorted(
+        (
+            (pid, c, wrapped(reference_center_signature(p, c)), reference_center_value(p, c))
+            for pid, p in entries
+            for c in reference_enumerate_centers(p)
+        ),
+        key=lambda record: reference_sort_key(record[0], record[1]),
+    )
+    records = locus_report(entries)
+    assert [(r.presentation_id, r.center, r.signature, r.value) for r in records] == expected

@@ -22,8 +22,10 @@ from toroidalize.principalize import (
     make_scenario,
     run,
     step,
+    step_lower_bound,
 )
 
+from conftest import column_grid, try_free, try_pair
 
 
 def euclid_scenario():
@@ -148,11 +150,11 @@ def test_run_already_principal():
 
 def test_run_budget_exceeded():
     with pytest.raises(StepBudgetExceededError) as info:
-        run(euclid_scenario(), 1)
+        run(euclid_scenario(), 2)
     # the error carries the complete state reached, and it is immutable
     reached = info.value.scenario
-    assert len(reached.history) == info.value.steps == 1
-    assert reached == step(euclid_scenario())
+    assert len(reached.history) == info.value.steps == 2
+    assert reached == step(step(euclid_scenario()))
     assert reached.locus()
     with pytest.raises(AttributeError):
         reached.next_id = 0
@@ -271,3 +273,23 @@ def test_default_budget_positive_and_sufficient():
     assert budget >= 3
     final = run(scenario, budget)
     assert not final.locus()
+
+
+def test_step_lower_bound_exact_values():
+    assert step_lower_bound(euclid_scenario()) == 2
+    for n in (1, 7, 10**12):
+        pair = make_scenario(3, (True,), [monomial_pair((1, 0), (0, n), 1)])
+        assert step_lower_bound(pair) == n
+
+
+def test_step_lower_bound_never_exceeds_a_run_small_grid():
+    checked = 0
+    for k in (1, 2, 3):
+        for u, v in column_grid(3, k):
+            for p in (try_pair(u, v), try_free(u, v)):
+                if p is None or is_principal(p):
+                    continue
+                scenario = make_scenario(p.k + 1, (True,), [p])
+                assert step_lower_bound(scenario) <= len(run(scenario, 512).history), (p.form, u, v)
+                checked += 1
+    assert checked > 100
