@@ -14,9 +14,7 @@ from .forms import (
     MonomialPresentation,
     NoTemplateMatchError,
     NotPrincipalError,
-    TemplateKind,
     is_principal,
-    match_template,
     monomial_free,
     monomial_pair,
     monomial_unit,

@@ -33,10 +33,8 @@ from .forms import (
     MonomialPresentation,
     NoTemplateMatchError,
     NotPrincipalError,
-    TemplateKind,
     divides,
     is_principal,
-    match_template,
     monomial_free,
     monomial_pair,
     power_unit_from_rows,
@@ -45,11 +43,26 @@ from .forms import (
 )
 from .principalize import Scenario
 
+#: The toroidal templates by form: each one's name in a trace and the
+#: divisor branches it meets.  The free coordinate is ``monomial_free``
+#: with v = y (a zero v row).  A smooth lift (``transverse``) is none of
+#: them and meets no branch.
+TEMPLATES: dict[Form, tuple[str, int]] = {
+    Form.MONOMIAL_FREE: ("free_coordinate", 1),
+    Form.POWER_UNIT: ("power_unit", 2),
+    Form.MONOMIAL_PAIR: ("monomial_pair", 2),
+}
+
 #: Note attached when a comparable monomial pair lifts to a rank-2 pair model.
 COMPARABLE_PAIR_NOTE = (
     "comparable monomial pair rewrites to two independent monomials; "
     "classified structurally as the rank-2 pair template"
 )
+
+
+def own_branches(p: MonomialPresentation) -> int:
+    """Divisor branches that a lifted presentation meets in its own chart."""
+    return TEMPLATES[p.form][1] if p.form in TEMPLATES else 0
 
 
 class SurfaceChart(Enum):
@@ -69,20 +82,13 @@ class SurfaceChart(Enum):
 class LiftedPresentation:
     """A leaf rewritten at its image point on the blown-up surface.
 
-    ``kind`` names the template that ``presentation`` matches against its
-    own chart's ``own_branch_count`` divisor branches, and is None for a
-    smooth leaf; the presentation itself is the chart template.
+    ``presentation`` is the chart template, or ``transverse`` for a
+    smooth leaf.
     """
 
     presentation: MonomialPresentation
     surface_chart: SurfaceChart
-    own_branch_count: int
-    kind: TemplateKind | None
     note: str | None = None
-
-    @property
-    def smooth(self) -> bool:
-        return self.kind is None
 
 
 def lift(p: MonomialPresentation) -> LiftedPresentation:
@@ -103,12 +109,10 @@ def lift(p: MonomialPresentation) -> LiftedPresentation:
         chart = SurfaceChart.V if p.form is Form.TRANSVERSE_PRODUCT else SurfaceChart.U
         if p.alpha_nonzero:
             chart = SurfaceChart.INTERIOR
-        return LiftedPresentation(
-            presentation=transverse(c), surface_chart=chart, own_branch_count=0, kind=None
-        )
+        return LiftedPresentation(transverse(c), chart)
     if u == v:
         chart = SurfaceChart.U if p.form is Form.MONOMIAL_FREE else SurfaceChart.INTERIOR
-        return _lifted(monomial_free(u, (0,) * p.k, c), chart, own_branches=1)
+        return LiftedPresentation(monomial_free(u, (0,) * p.k, c), chart)
 
     if divides(u, v):
         rows, chart = (u, tuple(b - a for a, b in zip(u, v))), SurfaceChart.U
@@ -121,76 +125,45 @@ def lift(p: MonomialPresentation) -> LiftedPresentation:
     else:
         lifted = power_unit_from_rows(*rows, c)
     note = COMPARABLE_PAIR_NOTE if p.form is Form.MONOMIAL_PAIR else None
-    return _lifted(lifted, chart, own_branches=2, note=note)
+    return LiftedPresentation(lifted, chart, note)
 
 
-def _lifted(
-    presentation: MonomialPresentation,
-    chart: SurfaceChart,
-    own_branches: int,
-    note: str | None = None,
-) -> LiftedPresentation:
-    return LiftedPresentation(
-        presentation=presentation,
-        surface_chart=chart,
-        own_branch_count=own_branches,
-        kind=match_template(presentation, own_branches),
-        note=note,
-    )
-
-
-def classify_global(
-    l: LiftedPresentation, branches: int
-) -> tuple[TemplateKind, MonomialPresentation] | None:
+def classify_global(l: LiftedPresentation, branches: int) -> MonomialPresentation | None:
     """Classify a lifted leaf against the full divisor on the blown-up surface.
 
     ``branches`` counts the full divisor's branches at the image (0 only
     when the image misses it entirely, possible for smooth leaves).  When
-    it equals the chart's own count the chart template stands.  When the
-    image is a 2-point of the full divisor but a 1-point of the chart
-    divisor, the second branch's equation extends the parameter system and
-    the free-coordinate template becomes a rank-2 pair.  Returns the
-    template's kind and presentation, or None only for a smooth leaf whose
-    image misses the divisor entirely.
+    it equals the chart's own count the chart template stands.  A smooth
+    leaf's first branch pulls back to a single coordinate.  When the image
+    is a 2-point of the full divisor but a 1-point of the chart divisor,
+    the second branch's equation extends the parameter system and the
+    free-coordinate template becomes a rank-2 pair.  Returns the template,
+    or None only for a smooth leaf whose image misses the divisor entirely.
     """
     if branches not in (0, 1, 2):
         raise FormError("branch_count must be 0, 1 or 2")
-    if branches < l.own_branch_count:
+    p = l.presentation
+    own = own_branches(p)
+    if branches < own:
         raise FormError("the full divisor cannot have fewer branches than the chart divisor")
-    c = l.presentation.chart_index
-    if l.kind is None:
-        if branches == 0:
-            return None
+    if branches == own:
+        return p if own else None
+    if own == 0:
+        p = monomial_free((1,), (0,), p.chart_index)
         if branches == 1:
-            # Smooth pair with one divisor branch through the image: the branch
-            # pulls back to a single coordinate.
-            return TemplateKind.FREE_COORDINATE, monomial_free((1,), (0,), c)
-        return TemplateKind.MONOMIAL_PAIR, monomial_pair((1, 0), (0, 1), c)
-
-    if branches == l.own_branch_count:
-        return l.kind, l.presentation
-    if l.kind is TemplateKind.FREE_COORDINATE and branches == 2:
-        row = l.presentation.u_row
-        return TemplateKind.MONOMIAL_PAIR, monomial_pair(row + (0,), (0,) * len(row) + (1,), c)
-    raise NoTemplateMatchError(
-        f"{l.kind.value} template cannot meet {branches} divisor branches"
-    )
+            return p
+    return monomial_pair(p.u_row + (0,), (0,) * p.k + (1,), p.chart_index)
 
 
 @dataclass(frozen=True)
 class ClassifiedLeaf:
-    """A lifted leaf with its global template (``kind`` None when smooth)."""
+    """A lifted leaf with its global template (None when smooth and off
+    the divisor)."""
 
     source_id: int
-    chart_index: int
     lifted: LiftedPresentation
     e_branches: int
-    kind: TemplateKind | None
     template: MonomialPresentation | None
-
-    @property
-    def outcome(self) -> str:
-        return self.kind.value if self.kind else "smooth"
 
 
 def default_branch_count(l: LiftedPresentation, scenario: Scenario, extra: bool) -> int:
@@ -200,17 +173,11 @@ def default_branch_count(l: LiftedPresentation, scenario: Scenario, extra: bool)
     leaf still meets the exceptional curve whenever some chart's divisor
     passes through the base point (the curve is then part of the full
     divisor).  The ``extra`` flag adds the one further branch that another
-    chart's transformed divisor may contribute.
+    chart's transformed divisor may contribute to an image the divisor
+    meets.
     """
-    own = l.own_branch_count
-    if own == 2:
-        return 2
-    if own == 1:
-        return 2 if extra else 1
-    base = 1 if any(scenario.charts) else 0
-    if base == 1 and extra:
-        return 2
-    return base
+    met = own_branches(l.presentation) or int(any(scenario.charts))
+    return min(2, met + extra) if met else 0
 
 
 def classify_scenario(
@@ -225,11 +192,9 @@ def classify_scenario(
     leaves: list[ClassifiedLeaf] = []
     for entry in scenario.entries:
         lifted = lift(entry.presentation)
-        chart = entry.presentation.chart_index
-        extra = chart in extra_branch_charts
+        extra = entry.presentation.chart_index in extra_branch_charts
         count = overrides.get(entry.id, default_branch_count(lifted, scenario, extra))
-        kind, template = classify_global(lifted, count) or (None, None)
-        leaves.append(ClassifiedLeaf(entry.id, chart, lifted, count, kind, template))
+        leaves.append(ClassifiedLeaf(entry.id, lifted, count, classify_global(lifted, count)))
     return leaves
 
 
@@ -250,9 +215,10 @@ def reseed(
         raise FormError("next round must describe the same charts")
     out: list[MonomialPresentation] = []
     for leaf in leaves:
-        if not next_charts[leaf.chart_index - 1]:
-            out.append(transverse(leaf.chart_index))
-        elif not leaf.lifted.smooth:
+        p = leaf.lifted.presentation
+        if not next_charts[p.chart_index - 1]:
+            out.append(transverse(p.chart_index))
+        elif p.form is not Form.TRANSVERSE:
             # A smooth leaf's image avoids this chart's divisor.
-            out.append(leaf.lifted.presentation)
+            out.append(p)
     return out

@@ -125,8 +125,8 @@ class MonomialPresentation:
 
     ``u_row`` and ``v_row`` hold the exponents of the divisor variables in
     u and v; any trailing free coordinate or unit factor is implied by the
-    form tag.  A ``POWER_UNIT`` pair stores its expanded rows too, and its
-    ``base``, ``power_u`` and ``power_v`` are read off them.
+    form tag.  A ``POWER_UNIT`` pair stores only its rows; its ``base``,
+    ``power_u`` and ``power_v`` are read off them.
     ``chart_index`` is 1-based and stable under every blowup of a run; the
     chart's divisor flag lives in ``Scenario.charts``.
     """
@@ -331,39 +331,3 @@ def is_principal(p: MonomialPresentation) -> bool:
         p.form is not Form.MONOMIAL_FREE and divides(p.v_row, p.u_row)
     )
 
-
-# -- toroidal target templates -------------------------------------------------
-
-class TemplateKind(Enum):
-    FREE_COORDINATE = "free_coordinate"   # u = x^a (a_i > 0), v = fresh coordinate
-    POWER_UNIT = "power_unit"             # u = (x^g)^m, v = (x^g)^t * (unit)
-    MONOMIAL_PAIR = "monomial_pair"       # u = x^a, v = x^b, rank 2
-
-
-def match_template(p: MonomialPresentation, branches: int) -> TemplateKind:
-    """Match a lifted local form against the toroidal templates.
-
-    ``branches`` counts the target divisor's branches at the image point:
-    1 when a single branch passes through (cut by u alone) and 2 when two
-    branches do (cut by u and v together).  The three templates are three
-    of the shapes above, so a match only certifies the shape and the branch
-    count; the presentation itself is the template.  A mismatch raises
-    ``NoTemplateMatchError``.
-    """
-    if branches not in (1, 2):
-        raise FormError(f"branch_count must be 1 or 2, got {branches}")
-    if p.form is Form.MONOMIAL_FREE and not any(p.v_row):
-        if branches != 1:
-            raise NoTemplateMatchError(
-                "free-coordinate shape needs a single divisor branch at the image"
-            )
-        return TemplateKind.FREE_COORDINATE
-    if p.form is Form.POWER_UNIT:
-        if branches != 2:
-            raise NoTemplateMatchError("power-pair shape needs two divisor branches at the image")
-        return TemplateKind.POWER_UNIT
-    if p.form is Form.MONOMIAL_PAIR:
-        if branches != 2:
-            raise NoTemplateMatchError("monomial-pair shape needs two divisor branches at the image")
-        return TemplateKind.MONOMIAL_PAIR
-    raise NoTemplateMatchError(f"form {p.form.value} matches no toroidal template")

@@ -17,8 +17,8 @@ from pathlib import Path
 import jsonschema
 
 from . import forms
-from .descent import ClassifiedLeaf
-from .forms import Form, FormError, MonomialPresentation, TemplateKind, check_chart
+from .descent import TEMPLATES, ClassifiedLeaf, own_branches
+from .forms import Form, FormError, MonomialPresentation, check_chart
 from .invariants import Snapshot
 from .principalize import Scenario, TraceStep, make_scenario
 from .transform import Center
@@ -40,9 +40,6 @@ class RoundPlan:
     charts: tuple[bool, ...]
     extra_branch_charts: frozenset[int] = frozenset()
     branch_overrides: tuple[tuple[int, int], ...] = ()
-
-    def overrides_dict(self) -> dict[int, int]:
-        return dict(self.branch_overrides)
 
 
 def _load_schema(name: str) -> dict:
@@ -237,27 +234,28 @@ def step_to_doc(step: TraceStep) -> dict:
     }
 
 
-def template_to_doc(kind: TemplateKind | None, template: MonomialPresentation | None) -> dict | None:
-    if kind is None:
+def template_to_doc(template: MonomialPresentation | None) -> dict | None:
+    if template is None:
         return None
     doc = presentation_to_doc(template)
     del doc["form"], doc["chart"]
-    if kind is TemplateKind.FREE_COORDINATE:
+    if template.form is Form.MONOMIAL_FREE:
         # v = y, the fresh coordinate, whose row is all zero
         doc = {"row": doc["u"]}
-    return {"kind": kind.value, **doc}
+    return {"kind": TEMPLATES[template.form][0], **doc}
 
 
 def leaf_to_doc(leaf: ClassifiedLeaf) -> dict:
+    lifted, template = leaf.lifted, leaf.template
     return {
         "id": leaf.source_id,
-        "chart": leaf.chart_index,
-        "outcome": leaf.outcome,
-        "surface_chart": leaf.lifted.surface_chart.value,
-        "own_branches": leaf.lifted.own_branch_count,
+        "chart": lifted.presentation.chart_index,
+        "outcome": TEMPLATES[template.form][0] if template else "smooth",
+        "surface_chart": lifted.surface_chart.value,
+        "own_branches": own_branches(lifted.presentation),
         "e_branches": leaf.e_branches,
-        "template": template_to_doc(leaf.kind, leaf.template),
-        "note": leaf.lifted.note,
+        "template": template_to_doc(template),
+        "note": lifted.note,
     }
 
 

@@ -80,7 +80,7 @@ def run_rounds(
         except StepBudgetExceededError as exc:
             raise RoundError(round_index, "budget", exc) from exc
         try:
-            leaves = classify_scenario(final, plan.extra_branch_charts, plan.overrides_dict())
+            leaves = classify_scenario(final, plan.extra_branch_charts, dict(plan.branch_overrides))
         except (NoTemplateMatchError, NotPrincipalError, FormError) as exc:
             raise RoundError(round_index, "classification", exc) from exc
         yield round_to_doc(round_index, current, final, leaves)

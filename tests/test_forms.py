@@ -8,11 +8,8 @@ from toroidalize.forms import (
     Form,
     FormError,
     MonomialPresentation,
-    NoTemplateMatchError,
-    TemplateKind,
     check_chart,
     is_principal,
-    match_template,
     monomial_free,
     monomial_pair,
     monomial_unit,
@@ -137,39 +134,6 @@ def test_principal_matches_oracle_small_grid():
 def test_rank_agrees_with_minor_oracle():
     for u, v in column_grid(3, 3):
         assert row_rank(u, v) == oracle_rank(u, v)
-
-
-# -- match_template ----------------------------------------------------------------
-
-def test_match_template_free_coordinate():
-    p = monomial_free((2, 1), (0, 0), 1)
-    kind = match_template(p, 1)
-    assert kind is TemplateKind.FREE_COORDINATE and p.u_row == (2, 1)
-
-
-def test_match_template_pair():
-    p = monomial_pair((1, 1), (1, 2), 1)
-    assert match_template(p, 2) is TemplateKind.MONOMIAL_PAIR
-    assert (p.u_row, p.v_row) == ((1, 1), (1, 2))
-
-
-def test_match_template_power():
-    p = power_unit((1, 1), 2, 3, 1)
-    assert match_template(p, 2) is TemplateKind.POWER_UNIT
-    assert (p.base, p.power_u, p.power_v) == ((1, 1), 2, 3)
-
-
-def test_match_template_branch_mismatch():
-    p = monomial_free((2, 1), (0, 0), 1)
-    with pytest.raises(NoTemplateMatchError):
-        match_template(p, 2)
-    with pytest.raises(NoTemplateMatchError):
-        match_template(monomial_pair((1, 1), (1, 2), 1), 1)
-
-
-def test_match_template_rejects_unlifted_shape():
-    with pytest.raises(NoTemplateMatchError):
-        match_template(monomial_free((3,), (1,), 1), 1)
 
 
 # -- property tests -----------------------------------------------------------------
