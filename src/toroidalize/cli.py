@@ -150,7 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         regenerated = verify_trace(trace)
     except Exception as exc:  # reported below, once the trace schema has passed
         outcome = exc
-    # compact dumps take the C encoder, about a sixth of canonical_dumps' time
+    # compact dumps take the C encoder, about half of canonical_dumps' time
     if outcome is not None or (
         json.dumps(regenerated, sort_keys=True) != json.dumps(trace, sort_keys=True)
     ):

@@ -3,7 +3,9 @@
 Scenario files and traces are plain JSON validated against the schemas
 packaged in ``toroidalize/schemas``.  Emission is canonical: sorted keys,
 two-space indent, trailing newline, no timestamps, so identical runs
-produce byte-identical files.
+produce byte-identical files.  ``canonical_dumps`` writes exactly what
+``json.dumps(doc, sort_keys=True, indent=2)`` does, without the pure-Python
+encoder that ``json`` falls back to whenever ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import jsonschema
@@ -65,7 +68,67 @@ def check_schema(doc, schema_name: str) -> None:
 
 
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``json`` takes its C encoder only without ``indent``, so dicts, lists,
+    strings, ints, bools and None are written here; any other node (a
+    float, a tuple) is handed to that ``json.dumps`` call on its own.
+    Dict keys must be strings, as in every parsed JSON document.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    # per depth: (newline + indent, {key: '{' head}, {key: ',' head}); a
+    # repeated key appends one shared string
+    levels: list[tuple[str, dict, dict]] = [("\n", {}, {})]
+
+    def emit(o, depth: int) -> None:
+        t = type(o)
+        if t is str:
+            append(encode_basestring_ascii(o))
+        elif t is int:
+            append(int.__repr__(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif not (t is dict or t is list):
+            append(json.dumps(o, sort_keys=True, indent=2).replace("\n", levels[depth][0]))
+        elif not o:
+            append("{}" if t is dict else "[]")
+        else:
+            try:
+                inner, firsts, rests = levels[depth + 1]
+            except IndexError:
+                levels.append(("\n" + "  " * (depth + 1), {}, {}))
+                inner, firsts, rests = levels[depth + 1]
+            if t is dict:
+                heads = firsts
+                for key in sorted(o):
+                    try:
+                        append(heads[key])
+                    except KeyError:
+                        opener = "{" if heads is firsts else ","
+                        append(heads.setdefault(key, opener + inner + encode_basestring_ascii(key) + ": "))
+                    emit(o[key], depth + 1)
+                    heads = rests
+            else:
+                for x in o:
+                    if type(x) is not int:
+                        sep, rest = "[" + inner, "," + inner
+                        for item in o:
+                            append(sep)
+                            emit(item, depth + 1)
+                            sep = rest
+                        break
+                else:  # only plain ints (no bools): one join
+                    append("[" + inner + ("," + inner).join(map(int.__repr__, o)))
+            append(levels[depth][0] + ("}" if t is dict else "]"))
+
+    emit(doc, 0)
+    append("\n")
+    return "".join(chunks)
 
 
 # -- presentations ---------------------------------------------------------------

@@ -19,6 +19,13 @@ from toroidalize.scenario_io import check_schema
 from toroidalize.verify import verify_trace
 
 
+def reference_dumps(doc):
+    """The canonical JSON specification: ``json``'s own indent encoder.
+    ``scenario_io.canonical_dumps`` must write exactly this, so tests build
+    expected output with it and never with the emitter under test."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def column_grid(max_entry, k):
     """All (u_row, v_row) pairs with entries <= max_entry, up to column order."""
     cols = list(itertools.product(range(max_entry + 1), repeat=2))

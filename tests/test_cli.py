@@ -9,7 +9,7 @@ from toroidalize.cli import main
 from toroidalize.scenario_io import canonical_dumps, load_trace
 from toroidalize.verify import VerificationError, verify_trace
 
-from conftest import assert_verifies_as_written
+from conftest import assert_verifies_as_written, reference_dumps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json"))
@@ -44,7 +44,7 @@ def test_run_is_byte_deterministic(tmp_path):
 def test_run_writes_canonical_json(tmp_path):
     _, out = run_fixture("euclid.json", tmp_path)
     doc = json.loads(out.read_text())
-    assert out.read_text() == canonical_dumps(doc)
+    assert out.read_text() == reference_dumps(doc)
 
 
 def test_text_format(tmp_path, capsys):
@@ -84,7 +84,7 @@ def test_deeply_nested_json_exits_2(verb, tmp_path, capsys):
         "status": "error", "kind": "schema", "exit": 2,
         "detail": {"path": "$", "message": "invalid JSON: nested deeper than the parser allows"},
     }
-    assert capsys.readouterr().out == canonical_dumps(expected)
+    assert capsys.readouterr().out == reference_dumps(expected)
 
 
 def test_unwritable_trace_path_exits_2(tmp_path, capsys):
@@ -114,7 +114,7 @@ def test_budget_exceeded_exits_3(fixture, max_steps, detail, tmp_path, capsys):
     code, _ = run_fixture(fixture, tmp_path, extra=["--max-steps", max_steps])
     assert code == 3
     expected = {"status": "error", "kind": "budget", "exit": 3, "detail": detail}
-    assert capsys.readouterr().out == canonical_dumps(expected)
+    assert capsys.readouterr().out == reference_dumps(expected)
 
 
 @pytest.mark.parametrize("max_steps", ["-1", "-7"])
@@ -125,7 +125,7 @@ def test_negative_budget_exits_2(max_steps, tmp_path, capsys):
         "status": "error", "kind": "bounds", "exit": 2,
         "detail": {"message": "--max-steps must be non-negative"},
     }
-    assert capsys.readouterr().out == canonical_dumps(expected)
+    assert capsys.readouterr().out == reference_dumps(expected)
 
 
 def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):
@@ -208,7 +208,7 @@ def test_chart_and_branch_errors_report(scenario, code, kind, detail, tmp_path, 
     path.write_text(json.dumps(scenario))
     assert main(["run", str(path), "-o", str(tmp_path / "t.json")]) == code
     expected = {"status": "error", "kind": kind, "exit": code, "detail": detail}
-    assert capsys.readouterr().out == canonical_dumps(expected)
+    assert capsys.readouterr().out == reference_dumps(expected)
 
 
 def test_oracle_exits(tmp_path, capsys):
@@ -229,7 +229,7 @@ def test_oracle_nonpositive_bound_exits_2(flag, capsys):
         "exit": 2,
         "detail": {"message": "search bounds must be positive"},
     }
-    assert capsys.readouterr().out == canonical_dumps(expected)
+    assert capsys.readouterr().out == reference_dumps(expected)
 
 
 def _stack_depth():
@@ -309,6 +309,19 @@ def rewrite(tmp_path, doc):
     path = tmp_path / "tampered.trace.json"
     path.write_text(canonical_dumps(doc))
     return path
+
+
+def test_verify_echoes_a_float_summary_count(euclid_trace, tmp_path, capsys):
+    # the trace schema's "integer" accepts 1.0, so the trace verifies and the
+    # float reaches stdout through the echoed summary
+    doc = copy.deepcopy(euclid_trace)
+    doc["summary"]["rounds"] = 1.0
+    path = tmp_path / "float.trace.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == reference_dumps({"status": "ok", "summary": doc["summary"]})
+    assert '"rounds": 1.0,' in out
 
 
 def test_verify_detects_invariant_increase(euclid_trace, tmp_path, capsys):

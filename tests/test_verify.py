@@ -16,6 +16,8 @@ from toroidalize.cli import main
 from toroidalize.scenario_io import SchemaError, canonical_dumps, check_schema, load_trace
 from toroidalize.verify import VerificationError, verify_trace
 
+from conftest import reference_dumps
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -152,7 +154,7 @@ def schema_first_verify(path):
             report = {"status": "error", "kind": "verification", "exit": 5, "detail": detail}
         else:
             report = {"status": "ok", "summary": trace["summary"]}
-    sys.stdout.write(canonical_dumps(report))
+    sys.stdout.write(reference_dumps(report))
     return report.get("exit", 0)
 
 
