@@ -27,7 +27,6 @@ from .forms import (
 from .invariants import Snapshot, centers, locus_report, summarize
 from .transform import (
     Center,
-    CenterKind,
     ChartPoint,
     DescendantSet,
     PermissibilityError,

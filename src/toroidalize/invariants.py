@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .forms import Form, MonomialPresentation
 from .forms import is_principal  # noqa: F401  (bench/tracing.py counts calls through this name)
-from .transform import Center, CenterKind
+from .transform import Center
 
 
 def centers(p: MonomialPresentation) -> Iterator[tuple[Center, tuple, int]]:
@@ -45,11 +45,11 @@ def centers(p: MonomialPresentation) -> Iterator[tuple[Center, tuple, int]]:
     """
     chart = p.chart_index
     if p.form is Form.TRANSVERSE:
-        yield Center(CenterKind.FREE, 1), (chart, "transverse", ()), 0
+        yield Center(1), (chart, "transverse", ()), 0
     elif p.form is Form.MONOMIAL_FREE:
         for i, (a, b) in enumerate(p.columns(), start=1):
             if b < a:
-                yield Center(CenterKind.FREE, i), (chart, "free", ((a, b),)), a - b
+                yield Center(i), (chart, "free", ((a, b),)), a - b
     elif p.form is Form.MONOMIAL_PAIR:
         columns = p.columns()
         for i, col_i in enumerate(columns, start=1):
@@ -59,7 +59,7 @@ def centers(p: MonomialPresentation) -> Iterator[tuple[Center, tuple, int]]:
             for j, col_j in enumerate(columns, start=1):
                 e_j = col_j[1] - col_j[0]
                 if e_j > 0:
-                    yield Center(CenterKind.PAIR, i, j), (chart, "pair", (col_i, col_j)), d_i * e_j
+                    yield Center(i, j), (chart, "pair", (col_i, col_j)), d_i * e_j
 
 
 @dataclass(frozen=True)

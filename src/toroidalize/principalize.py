@@ -64,33 +64,45 @@ class Phase(Enum):
     TWO_POINT = "two_point"
 
 
+_PHASE_OF_CLASS = {"transverse": Phase.TRANSVERSE, "free": Phase.ONE_POINT, "pair": Phase.TWO_POINT}
+
+
 @dataclass(frozen=True, slots=True)
 class Entry:
+    """One presentation of a scenario, under its stable id.
+
+    ``active`` means non-principal.  A descendant names its parent and
+    the chart point it was born at; both are ``None`` on a root.
+    """
+
     id: int
     presentation: MonomialPresentation
     active: bool
-
-
-@dataclass(frozen=True, slots=True)
-class DescendantRecord:
-    id: int
-    parent_id: int
-    point: ChartPoint
-    presentation: MonomialPresentation
-    principal: bool
+    parent: int | None = None
+    point: ChartPoint | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
-    index: int
-    chart_index: int
-    phase: Phase
+    """One step: the signature it targeted, at its value, the parents
+    blown up through it, the entries they became (each parent's three in
+    :class:`ChartPoint` order) and the chart's snapshot around it.  Its
+    index is its position in ``Scenario.history``."""
+
     signature: tuple
     value: int
     parents: tuple[tuple[int, Center], ...]
-    descendants: tuple[DescendantRecord, ...]
+    descendants: tuple[Entry, ...]
     before: Snapshot
     after: Snapshot
+
+    @property
+    def chart_index(self) -> int:
+        return self.signature[0]
+
+    @property
+    def phase(self) -> Phase:
+        return _PHASE_OF_CLASS[self.signature[1]]
 
 
 class Scenario:
@@ -188,10 +200,8 @@ def _flatten(roots: tuple[Entry, ...], steps: tuple[TraceStep, ...]) -> tuple[En
     """Pre-order over the blowup tree: each parent replaced by its descendants."""
     children: dict[int, list[Entry]] = {}
     for s in steps:
-        for d in s.descendants:
-            children.setdefault(d.parent_id, []).append(
-                Entry(d.id, d.presentation, active=not d.principal)
-            )
+        for e in s.descendants:
+            children.setdefault(e.parent, []).append(e)
     out: list[Entry] = []
     pending = list(reversed(roots))
     while pending:
@@ -261,9 +271,6 @@ def make_scenario(
     return Scenario(n=n, charts=tuple(charts), entries=entries, next_id=len(entries))
 
 
-_PHASE_OF_CLASS = {"transverse": Phase.TRANSVERSE, "free": Phase.ONE_POINT, "pair": Phase.TWO_POINT}
-
-
 def _select_target(records: tuple[CenterRecord, ...]) -> CenterRecord:
     """The first record at the largest value among the free centers, or
     among all when none is free: off the divisor all are transverse (value
@@ -299,7 +306,7 @@ def step(scenario: Scenario) -> Scenario:
     n, charts = scenario.n, scenario.charts
     next_id = scenario.next_id
     parents: list[tuple[int, Center]] = []
-    descendants: list[DescendantRecord] = []
+    descendants: list[Entry] = []
     still_active: list[Entry] = []
     born_active: list[tuple[int, MonomialPresentation]] = []
     for entry in active:
@@ -308,33 +315,22 @@ def step(scenario: Scenario) -> Scenario:
             still_active.append(entry)
             continue
         parents.append((entry.id, center))
-        for desc in blowup(entry.presentation, center).descendants:
-            principal = is_principal(desc.presentation)
-            new_entry = Entry(next_id, desc.presentation, active=not principal)
+        children = blowup(entry.presentation, center).descendants
+        for point, child in zip(ChartPoint, children, strict=True):
+            principal = is_principal(child)
+            new_entry = Entry(next_id, child, not principal, entry.id, point)
             _check_entry(new_entry, principal, n, charts)
-            descendants.append(
-                DescendantRecord(
-                    id=next_id,
-                    parent_id=entry.id,
-                    point=desc.point,
-                    presentation=desc.presentation,
-                    principal=principal,
-                )
-            )
+            descendants.append(new_entry)
             if not principal:
                 still_active.append(new_entry)
-                born_active.append((next_id, desc.presentation))
+                born_active.append((next_id, child))
             next_id += 1
 
     # Untouched presentations keep their centers.  New ids exceed every
     # old one, so the new records sort after the kept ones.
     kept = tuple(r for r in records if r.presentation_id not in matched)
     new_records = kept + locus_report(born_active)
-    chain = scenario._chain
     trace_step = TraceStep(
-        index=chain[1].index + 1 if chain else 0,
-        chart_index=chart,
-        phase=_PHASE_OF_CLASS[target.signature[1]],
         signature=target.signature,
         value=target.value,
         parents=tuple(parents),

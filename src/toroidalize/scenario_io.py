@@ -244,20 +244,10 @@ def load_scenario(path: str | Path) -> tuple[Scenario, list[RoundPlan], dict]:
     return scenario, plans, doc
 
 
-def scenario_to_doc(scenario: Scenario) -> dict:
-    """Schema-shaped document for an in-memory scenario (single round)."""
-    return {
-        "version": 1,
-        "n": scenario.n,
-        "charts": [{"q_in_divisor": flag} for flag in scenario.charts],
-        "presentations": [presentation_to_doc(e.presentation) for e in scenario.entries],
-    }
-
-
 # -- traces ------------------------------------------------------------------------
 
 def center_to_doc(c: Center) -> dict:
-    return {"kind": c.kind.value, "i": c.i, "j": c.j}
+    return {"kind": "free" if c.j is None else "pair", "i": c.i, "j": c.j}
 
 
 def signature_to_doc(signature: tuple) -> dict:
@@ -274,9 +264,9 @@ def snapshot_to_doc(s: Snapshot) -> dict:
     }
 
 
-def step_to_doc(step: TraceStep) -> dict:
+def step_to_doc(index: int, step: TraceStep) -> dict:
     return {
-        "index": step.index,
+        "index": index,
         "chart": step.chart_index,
         "phase": step.phase.value,
         "signature": signature_to_doc(step.signature),
@@ -284,13 +274,13 @@ def step_to_doc(step: TraceStep) -> dict:
         "parents": [{"id": pid, "center": center_to_doc(c)} for pid, c in step.parents],
         "descendants": [
             {
-                "id": d.id,
-                "parent": d.parent_id,
-                "point": d.point.value,
-                "principal": d.principal,
-                "presentation": presentation_to_doc(d.presentation),
+                "id": e.id,
+                "parent": e.parent,
+                "point": e.point.value,
+                "principal": not e.active,
+                "presentation": presentation_to_doc(e.presentation),
             }
-            for d in step.descendants
+            for e in step.descendants
         ],
         "before": snapshot_to_doc(step.before),
         "after": snapshot_to_doc(step.after),
@@ -339,7 +329,7 @@ def round_to_doc(
             }
             for e in initial.entries
         ],
-        "steps": [step_to_doc(s) for s in final.history],
+        "steps": [step_to_doc(i, s) for i, s in enumerate(final.history)],
         "leaves": [
             {"id": e.id, "presentation": presentation_to_doc(e.presentation)}
             for e in final.entries

@@ -11,10 +11,11 @@ exceptional divisor:
 * ``B_ORIGIN``  -- the origin of the second affine chart.
 
 Individual closed points with distinct nonzero alpha are never
-distinguished: every rule depends only on this trichotomy.  The functions
-here are pure; descendants that are already principal are still returned
-(so a driver can log them) and it is the caller's job to drop them from
-any active worklist.
+distinguished: every rule depends only on this trichotomy, and returns its
+three children in that order, the order of :class:`ChartPoint`.  The
+functions here are pure; descendants that are already principal are still
+returned (so a driver can log them) and it is the caller's job to drop
+them from any active worklist.
 """
 
 from __future__ import annotations
@@ -41,32 +42,25 @@ class PermissibilityError(ValueError):
     """The requested center is not contained in the non-principal locus."""
 
 
-class CenterKind(Enum):
-    FREE = "free"   # x_i = y = 0, y the extra coordinate (or x_1 = x_2 = 0 when transverse)
-    PAIR = "pair"   # x_i = x_j = 0, two divisor variables
-
-
 @dataclass(frozen=True)
 class Center:
     """A permissible codimension-2 center, named by its two local coordinates.
 
     Indices are 1-based positions into the presentation's divisor columns.
-    ``PAIR`` centers are oriented so that u dominates v at ``i`` and v
-    dominates u at ``j``.
+    ``Center(i)`` is the free center x_i = y = 0, y the extra coordinate
+    (on a transverse presentation ``Center(1)`` is x_1 = x_2 = 0).
+    ``Center(i, j)`` is the pair center x_i = x_j = 0, oriented so that u
+    dominates v at ``i`` and v dominates u at ``j``.
     """
 
-    kind: CenterKind
     i: int
     j: int | None = None
 
     def __post_init__(self) -> None:
         if self.i < 1:
             raise FormError("center index must be >= 1")
-        if self.kind is CenterKind.PAIR:
-            if self.j is None or self.j < 1 or self.j == self.i:
-                raise FormError("pair center needs two distinct indices")
-        elif self.j is not None:
-            raise FormError("free center takes a single index")
+        if self.j is not None and (self.j < 1 or self.j == self.i):
+            raise FormError("pair center needs two distinct indices")
 
 
 class ChartPoint(Enum):
@@ -76,14 +70,10 @@ class ChartPoint(Enum):
 
 
 @dataclass(frozen=True)
-class Descendant:
-    point: ChartPoint
-    presentation: MonomialPresentation
-
-
-@dataclass(frozen=True)
 class DescendantSet:
-    descendants: tuple[Descendant, ...]
+    """A blowup's three children, in :class:`ChartPoint` order."""
+
+    descendants: tuple[MonomialPresentation, MonomialPresentation, MonomialPresentation]
 
 
 def _bump(row: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
@@ -101,7 +91,7 @@ def blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
     """
     if p.form is not Form.MONOMIAL_FREE:
         raise PermissibilityError(f"free-coordinate blowup applies to monomial_free, not {p.form.value}")
-    if c.kind is not CenterKind.FREE or not (1 <= c.i <= p.k):
+    if c.j is not None or not (1 <= c.i <= p.k):
         raise PermissibilityError(f"center {c} is not a free-coordinate center of this presentation")
     i = c.i
     a_i, b_i = p.column(i)
@@ -111,13 +101,7 @@ def blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
     a_origin = monomial_free(p.u_row, v_up, p.chart_index)
     a_generic = monomial_unit(p.u_row, v_up, p.chart_index)
     b_origin = nested(p.u_row + (a_i,), v_up + (b_i,), p.chart_index)
-    return DescendantSet(
-        descendants=(
-            Descendant(ChartPoint.A_ORIGIN, a_origin),
-            Descendant(ChartPoint.A_GENERIC, a_generic),
-            Descendant(ChartPoint.B_ORIGIN, b_origin),
-        ),
-    )
+    return DescendantSet((a_origin, a_generic, b_origin))
 
 
 def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
@@ -132,7 +116,7 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
     """
     if p.form is not Form.MONOMIAL_PAIR:
         raise PermissibilityError(f"pair blowup applies to monomial_pair, not {p.form.value}")
-    if c.kind is not CenterKind.PAIR or not (1 <= c.i <= p.k) or not (1 <= (c.j or 0) <= p.k):
+    if c.j is None or not (1 <= c.i <= p.k) or not (1 <= c.j <= p.k):
         raise PermissibilityError(f"center {c} is not a pair center of this presentation")
     i, j = c.i, c.j
     a_i, b_i = p.column(i)
@@ -152,13 +136,7 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
     else:
         a_generic = power_unit_from_rows(u_g, v_g, p.chart_index)
 
-    return DescendantSet(
-        descendants=(
-            Descendant(ChartPoint.A_ORIGIN, a_origin),
-            Descendant(ChartPoint.A_GENERIC, a_generic),
-            Descendant(ChartPoint.B_ORIGIN, b_origin),
-        ),
-    )
+    return DescendantSet((a_origin, a_generic, b_origin))
 
 
 def blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:
@@ -170,14 +148,14 @@ def blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:
     """
     if p.form is not Form.TRANSVERSE:
         raise PermissibilityError(f"transverse blowup applies to transverse, not {p.form.value}")
-    if c.kind is not CenterKind.FREE or c.i != 1:
+    if c.j is not None or c.i != 1:
         raise PermissibilityError(f"center {c} is not the transverse center x_1 = x_2 = 0")
     return DescendantSet(
-        descendants=(
-            Descendant(ChartPoint.A_ORIGIN, transverse_unit(p.chart_index, alpha_nonzero=False)),
-            Descendant(ChartPoint.A_GENERIC, transverse_unit(p.chart_index, alpha_nonzero=True)),
-            Descendant(ChartPoint.B_ORIGIN, transverse_product(p.chart_index)),
-        ),
+        (
+            transverse_unit(p.chart_index, alpha_nonzero=False),
+            transverse_unit(p.chart_index, alpha_nonzero=True),
+            transverse_product(p.chart_index),
+        )
     )
 
 

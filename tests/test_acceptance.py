@@ -97,13 +97,13 @@ def test_criterion_2_two_point_strict_descent():
         scenario = make_scenario(3, (True,), [p])
         final = run(scenario, search.max_depth)
         assert len(final.history) <= search.max_depth
-        for s in final.history:
+        for index, s in enumerate(final.history):
             assert s.phase is Phase.TWO_POINT
             for d in s.descendants:
-                if d.principal:
+                if not d.active:
                     continue
                 child_max = max(value for _, _, value in centers(d.presentation))
-                assert child_max < s.before.two_point_max, (data, s.index)
+                assert child_max < s.before.two_point_max, (data, index)
         assert not final.locus()
     assert checked > 100
     report(2, f"2-point invariant strictly descends on {checked} exhaustive scenarios")
@@ -135,19 +135,19 @@ def test_criterion_4_closure_of_form_families():
         for u, v in grid_pairs(6, k):
             p = monomial_pair(u, v, 1)
             for c, _, _ in centers(p):
-                for d in blowup(p, c).descendants:
-                    assert d.presentation.form in allowed[Form.MONOMIAL_PAIR]
-                    if not is_principal(d.presentation):
-                        assert d.presentation.form is Form.MONOMIAL_PAIR
+                for child in blowup(p, c).descendants:
+                    assert child.form in allowed[Form.MONOMIAL_PAIR]
+                    if not is_principal(child):
+                        assert child.form is Form.MONOMIAL_PAIR
                     descendants_checked += 1
     for k in (1, 2, 3, 4):
         for u, v in grid_frees(6, k):
             p = monomial_free(u, v, 1)
             for c, _, _ in centers(p):
-                for d in blowup(p, c).descendants:
-                    assert d.presentation.form in allowed[Form.MONOMIAL_FREE]
-                    if not is_principal(d.presentation):
-                        assert d.presentation.form is Form.MONOMIAL_FREE
+                for child in blowup(p, c).descendants:
+                    assert child.form in allowed[Form.MONOMIAL_FREE]
+                    if not is_principal(child):
+                        assert child.form is Form.MONOMIAL_FREE
                     descendants_checked += 1
     report(4, f"non-principal descendants stay in their form family ({descendants_checked} blowup images)")
 

@@ -19,7 +19,7 @@ from toroidalize.invariants import (
     locus_report,
     summarize,
 )
-from toroidalize.transform import Center, CenterKind
+from toroidalize.transform import Center
 
 from conftest import column_grid, pair_presentations, shape_grid, try_free, try_pair
 
@@ -34,12 +34,12 @@ def values(p):
 
 def test_enumerate_centers_free():
     p = monomial_free((3, 1), (1, 1), 1)
-    assert list(centers(p)) == [(Center(CenterKind.FREE, 1), (1, "free", ((3, 1),)), 2)]
+    assert list(centers(p)) == [(Center(1), (1, "free", ((3, 1),)), 2)]
 
 
 def test_enumerate_centers_pair_oriented():
     p = monomial_pair((2, 0), (0, 3), 1)
-    assert list(centers(p)) == [(Center(CenterKind.PAIR, 1, 2), (1, "pair", ((2, 0), (0, 3))), 6)]
+    assert list(centers(p)) == [(Center(1, 2), (1, "pair", ((2, 0), (0, 3))), 6)]
 
 
 def test_enumerate_centers_principal_pair_empty():
@@ -51,7 +51,7 @@ def test_enumerate_centers_terminal_forms_empty():
 
 
 def test_enumerate_centers_transverse():
-    assert list(centers(transverse(2))) == [(Center(CenterKind.FREE, 1), (2, "transverse", ()), 0)]
+    assert list(centers(transverse(2))) == [(Center(1), (2, "transverse", ()), 0)]
 
 
 def test_one_point_invariant_values():
@@ -80,8 +80,8 @@ def test_two_point_invariant_values():
 def test_center_value_uses_only_center_columns():
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
     assert dict(zip(found(p), values(p))) == {
-        Center(CenterKind.PAIR, 1, 3): 1,
-        Center(CenterKind.PAIR, 2, 3): 1,
+        Center(1, 3): 1,
+        Center(2, 3): 1,
     }
     q = monomial_pair((5, 2, 0), (0, 1, 1), 1)
     assert values(q)[0] == 5
@@ -149,7 +149,7 @@ def test_locus_values_invariant_under_column_permutation(p, rnd):
 def reference_enumerate_centers(p):
     if p.form is Form.MONOMIAL_FREE:
         return [
-            Center(CenterKind.FREE, i)
+            Center(i)
             for i in range(1, p.k + 1)
             if p.v_row[i - 1] < p.u_row[i - 1]
         ]
@@ -160,22 +160,22 @@ def reference_enumerate_centers(p):
                 continue
             for j in range(1, p.k + 1):
                 if p.v_row[j - 1] - p.u_row[j - 1] > 0:
-                    found.append(Center(CenterKind.PAIR, i, j))
+                    found.append(Center(i, j))
         return found
     if p.form is Form.TRANSVERSE:
-        return [Center(CenterKind.FREE, 1)]
+        return [Center(1)]
     return []
 
 
 def reference_center_value(p, c):
-    if p.form is Form.MONOMIAL_FREE and c.kind is CenterKind.FREE:
+    if p.form is Form.MONOMIAL_FREE and c.j is None:
         a_i, b_i = p.column(c.i)
         return a_i - b_i
-    if p.form is Form.MONOMIAL_PAIR and c.kind is CenterKind.PAIR:
+    if p.form is Form.MONOMIAL_PAIR and c.j is not None:
         a_i, b_i = p.column(c.i)
         a_j, b_j = p.column(c.j)
         return (a_i - b_i) * (b_j - a_j)
-    if p.form is Form.TRANSVERSE and c.kind is CenterKind.FREE:
+    if p.form is Form.TRANSVERSE and c.j is None:
         return 0
     raise FormError(f"center {c} does not belong to a {p.form.value} presentation")
 
@@ -184,13 +184,13 @@ def reference_center_signature(p, c):
     chart = p.chart_index
     if p.form is Form.TRANSVERSE:
         return (chart, "transverse", ())
-    if c.kind is CenterKind.FREE:
+    if c.j is None:
         return (chart, "free", p.column(c.i))
     return (chart, "pair", (p.column(c.i), p.column(c.j)))
 
 
 def reference_sort_key(pid, c):
-    return (pid, 0 if c.kind is CenterKind.FREE else 1, c.i, c.j or 0)
+    return (pid, 0 if c.j is None else 1, c.i, c.j or 0)
 
 
 def wrapped(signature):

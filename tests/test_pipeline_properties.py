@@ -1,6 +1,9 @@
 """Randomized end-to-end properties: driver vs brute-force oracle, and the
 run -> trace -> verify round trip, on arbitrary mixed scenarios."""
 
+from pathlib import Path
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +13,16 @@ from toroidalize.forms import (
     transverse,
 )
 from toroidalize.oracle import SearchBound, exhaustive_search
-from toroidalize.principalize import Scenario, make_scenario, run, step, step_lower_bound
-from toroidalize.scenario_io import RoundPlan, scenario_to_doc, trace_doc
+from toroidalize.principalize import (
+    Scenario,
+    default_budget,
+    make_scenario,
+    run,
+    step,
+    step_lower_bound,
+)
+from toroidalize.scenario_io import RoundPlan, load_scenario, presentation_to_doc, trace_doc
+from toroidalize.transform import ChartPoint
 from toroidalize.verify import run_rounds
 
 from conftest import assert_verifies_as_written, free_presentations, pair_presentations, try_pair
@@ -40,6 +51,16 @@ def scenarios(draw, max_entry=3, max_presentations=3, max_pair_k=3):
                 presentations.append(p)
     assume(presentations)
     return make_scenario(4, tuple(chart_flags), presentations)
+
+
+def scenario_to_doc(scenario):
+    """Schema-shaped document for an in-memory scenario (single round)."""
+    return {
+        "version": 1,
+        "n": scenario.n,
+        "charts": [{"q_in_divisor": flag} for flag in scenario.charts],
+        "presentations": [presentation_to_doc(e.presentation) for e in scenario.entries],
+    }
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,3 +176,42 @@ def test_multi_round_traces_always_verify(scenario, extra_chart):
     ]
     trace = trace_doc(doc, list(run_rounds(scenario, plans)))
     assert_verifies_as_written(trace)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def assert_descendants_name_their_parents(scenario):
+    final = run(scenario, default_budget(scenario))
+    assert all(e.parent is None and e.point is None for e in scenario.entries)
+    recorded = []
+    for s in final.history:
+        assert s.chart_index == s.signature[0]
+        parent_ids = [pid for pid, _ in s.parents]
+        by_parent = {}
+        for e in s.descendants:
+            assert e.parent in parent_ids
+            by_parent.setdefault(e.parent, []).append(e)
+        assert list(by_parent) == parent_ids
+        for kids in by_parent.values():
+            assert [e.point for e in kids] == list(ChartPoint)
+            assert [e.id for e in kids] == list(range(kids[0].id, kids[0].id + len(kids)))
+        recorded.extend(s.descendants)
+    blown_up = {pid for s in final.history for pid, _ in s.parents}
+    expected = [e for e in (*scenario.entries, *recorded) if e.id not in blown_up]
+    leaves = sorted(final.entries, key=lambda e: e.id)
+    assert leaves == expected
+    # the leaves are the recorded entries themselves, not rebuilt copies
+    assert all(a is b for a, b in zip(leaves, expected))
+
+
+@pytest.mark.parametrize("name", ["euclid", "three_point", "multi_round"])
+def test_fixture_descendants_name_their_parents(name):
+    scenario, _, _ = load_scenario(FIXTURES / f"{name}.json")
+    assert_descendants_name_their_parents(scenario)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_descendants_name_their_parents(scenario):
+    assert_descendants_name_their_parents(scenario)

@@ -230,7 +230,7 @@ def test_principality_is_persistent():
         for pid, _ in s.parents:
             assert pid not in principal_seen
         for d in s.descendants:
-            if d.principal:
+            if not d.active:
                 principal_seen.add(d.id)
     leaf_ids = {e.id for e in final.entries}
     assert principal_seen <= leaf_ids

@@ -3,6 +3,7 @@ from hypothesis import given
 
 from toroidalize.forms import (
     Form,
+    FormError,
     is_principal,
     monomial_free,
     monomial_pair,
@@ -15,7 +16,6 @@ from toroidalize.forms import (
 from toroidalize.invariants import centers
 from toroidalize.transform import (
     Center,
-    CenterKind,
     ChartPoint,
     PermissibilityError,
     blowup,
@@ -26,11 +26,11 @@ from toroidalize.transform import (
 
 from conftest import column_grid, pair_presentations, try_free, try_pair
 
-FREE1 = Center(CenterKind.FREE, 1)
+FREE1 = Center(1)
 
 
 def by_point(result):
-    return {d.point: d.presentation for d in result.descendants}
+    return dict(zip(ChartPoint, result.descendants, strict=True))
 
 
 # -- free-coordinate blowups -----------------------------------------------------
@@ -70,14 +70,14 @@ def test_blowup_free_multicolumn_keeps_others():
 def test_blowup_free_rejects_equal_column():
     p = monomial_free((3, 1), (1, 1), 1)
     with pytest.raises(PermissibilityError):
-        blowup_monomial_free(p, Center(CenterKind.FREE, 2))
+        blowup_monomial_free(p, Center(2))
 
 
 # -- pair blowups -------------------------------------------------------------------
 
 def test_blowup_pair_both_monomial_charts():
     p = monomial_pair((2, 0), (0, 3), 1)
-    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2)))
+    out = by_point(blowup_monomial_pair(p, Center(1, 2)))
     a0 = out[ChartPoint.A_ORIGIN]
     assert (a0.u_row, a0.v_row) == ((2, 2), (0, 3))
     b = out[ChartPoint.B_ORIGIN]
@@ -87,7 +87,7 @@ def test_blowup_pair_both_monomial_charts():
 
 def test_blowup_pair_generic_degenerates_to_power():
     p = monomial_pair((1, 0), (0, 1), 1)
-    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2)))
+    out = by_point(blowup_monomial_pair(p, Center(1, 2)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.POWER_UNIT
     assert (ag.base, ag.power_u, ag.power_v) == ((1,), 1, 1)
@@ -97,22 +97,22 @@ def test_blowup_pair_sign_criterion_enforced():
     # columns 1 and 2 are both u-dominant: no center passes through them
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
     with pytest.raises(PermissibilityError):
-        blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2))
+        blowup_monomial_pair(p, Center(1, 2))
 
 
 def test_blowup_pair_orientation_symmetric():
     # the sign criterion is symmetric, so both orientations blow up the same
     # center; the two affine chart labels swap
     p = monomial_pair((2, 0), (0, 3), 1)
-    out_ij = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 1, 2)))
-    out_ji = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 1)))
+    out_ij = by_point(blowup_monomial_pair(p, Center(1, 2)))
+    out_ji = by_point(blowup_monomial_pair(p, Center(2, 1)))
     assert out_ij[ChartPoint.A_ORIGIN] == out_ji[ChartPoint.B_ORIGIN]
     assert out_ij[ChartPoint.B_ORIGIN] == out_ji[ChartPoint.A_ORIGIN]
 
 
 def test_blowup_pair_three_point_generic():
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
-    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
+    out = by_point(blowup_monomial_pair(p, Center(2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.MONOMIAL_PAIR
     assert (ag.u_row, ag.v_row) == ((1, 2), (0, 2))
@@ -121,7 +121,7 @@ def test_blowup_pair_three_point_generic():
 def test_blowup_pair_three_point_second_chart():
     # frozen by substitution bookkeeping: column 2 absorbs column 3
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
-    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
+    out = by_point(blowup_monomial_pair(p, Center(2, 3)))
     b = out[ChartPoint.B_ORIGIN]
     assert (b.u_row, b.v_row) == ((1, 2, 0), (0, 2, 1))
 
@@ -129,7 +129,7 @@ def test_blowup_pair_three_point_second_chart():
 def test_blowup_pair_three_point_degenerate_collapse():
     # frozen from the minor oracle: collapsed rows (1,2) | (1,2) have rank 1
     p = monomial_pair((1, 1, 1), (1, 0, 2), 1)
-    out = by_point(blowup_monomial_pair(p, Center(CenterKind.PAIR, 2, 3)))
+    out = by_point(blowup_monomial_pair(p, Center(2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.POWER_UNIT
     assert (ag.base, ag.power_u, ag.power_v) == ((1, 2), 1, 1)
@@ -139,9 +139,9 @@ def test_blowup_pair_three_point_degenerate_collapse():
 
 def test_blowup_transverse_forms():
     out = blowup_transverse(transverse(1), FREE1)
-    forms = {d.presentation.form for d in out.descendants}
+    forms = {d.form for d in out.descendants}
     assert forms == {Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT}
-    assert all(is_principal(d.presentation) for d in out.descendants)
+    assert all(is_principal(d) for d in out.descendants)
 
 
 def test_principal_transverse_shapes_carry_no_center():
@@ -177,8 +177,7 @@ def test_closure_small_grid():
                 if p is None:
                     continue
                 for c, _, _ in centers(p):
-                    for d in blowup(p, c).descendants:
-                        child = d.presentation
+                    for child in blowup(p, c).descendants:
                         assert child.form in allowed[p.form]
                         if not is_principal(child):
                             assert child.form in nonprincipal[p.form]
@@ -202,10 +201,32 @@ def test_blowup_is_deterministic(p):
 
 
 def test_descendant_count_and_labels():
+    # the three children come in ChartPoint order
+    assert list(ChartPoint) == [ChartPoint.A_ORIGIN, ChartPoint.A_GENERIC, ChartPoint.B_ORIGIN]
     p = monomial_pair((2, 0), (0, 3), 1)
-    out = blowup(p, Center(CenterKind.PAIR, 1, 2))
-    assert [d.point for d in out.descendants] == [
-        ChartPoint.A_ORIGIN,
-        ChartPoint.A_GENERIC,
-        ChartPoint.B_ORIGIN,
-    ]
+    a_origin, a_generic, b_origin = blowup(p, Center(1, 2)).descendants
+    assert (a_origin.u_row, a_origin.v_row) == ((2, 2), (0, 3))
+    assert a_generic.form is Form.POWER_UNIT
+    assert (b_origin.u_row, b_origin.v_row) == ((2, 0), (3, 3))
+
+
+# -- centers ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("indices", [(0,), (1, 0), (2, 2)])
+def test_center_rejects_bad_indices(indices):
+    with pytest.raises(FormError):
+        Center(*indices)
+
+
+@pytest.mark.parametrize(
+    "p, c",
+    [
+        (monomial_free((3, 1), (1, 0), 1), Center(1, 2)),
+        (monomial_pair((2, 0), (0, 3), 1), Center(1)),
+        (transverse(1), Center(2)),
+    ],
+    ids=["pair_on_free", "free_on_pair", "free_2_on_transverse"],
+)
+def test_blowup_rejects_a_center_of_the_wrong_class(p, c):
+    with pytest.raises(PermissibilityError):
+        blowup(p, c)
