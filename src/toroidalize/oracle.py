@@ -7,7 +7,9 @@ exhaustive search over *all* permissible center choices (not just the
 driver's phase policy) that reports how long the shortest and longest
 paths to an empty locus are.  The search and ``verify``'s descent measure
 both read centers from the column model: :class:`RawPoint`,
-:func:`raw_centers`, :func:`raw_measure` and :func:`raw_blowup`.
+:func:`raw_centers`, :func:`raw_measure` and :func:`raw_blowup`.  The same
+points recur across many search states, so the search computes each point's
+centers, and its children under each center, once and reuses them.
 
 Nothing is imported from the engine beyond the two data types ``Form``
 and ``MonomialPresentation``.  That independence is the point: agreement
@@ -17,9 +19,8 @@ tautology.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .forms import Form, MonomialPresentation
 
@@ -152,10 +153,13 @@ def _canonical(points: Iterable[RawPoint]) -> State:
     return tuple(sorted(set(points)))
 
 
-def _apply(state: State, signature: tuple) -> State:
+def _apply(
+    state: State, signature: tuple, children: dict[tuple[RawPoint, tuple], tuple[RawPoint, ...]]
+) -> State:
     """Blow up every point of ``state`` that carries ``signature``, at its
     first columns equal to the signature's; keep the others as they are.
-    New children lose their principal members and get sorted columns."""
+    New children lose their principal members and get sorted columns.
+    ``children`` caches each blown-up point's children by (point, signature)."""
     chart, kind, data = signature
     free = kind == "free"
     center_cols = (data,) if free else data
@@ -164,9 +168,15 @@ def _apply(state: State, signature: tuple) -> State:
         if pt.chart != chart or pt.v_free != free or not all(map(pt.cols.__contains__, center_cols)):
             out.append(pt)
             continue
-        for child in raw_blowup(pt, tuple(map(pt.cols.index, center_cols))):
-            if not _raw_principal(child):
-                out.append(RawPoint(chart, tuple(sorted(child.cols)), child.v_free))
+        key = (pt, signature)
+        kept = children.get(key)
+        if kept is None:
+            kept = children[key] = tuple(
+                RawPoint(chart, tuple(sorted(child.cols)), child.v_free)
+                for child in raw_blowup(pt, tuple(map(pt.cols.index, center_cols)))
+                if not _raw_principal(child)
+            )
+        out.extend(kept)
     return _canonical(out)
 
 
@@ -175,6 +185,28 @@ class SearchResult:
     min_depth: int
     max_depth: int
     states_explored: int
+
+
+@dataclass(slots=True)
+class _Frame:
+    """A state whose children are being searched, with the path that led to
+    it and the (min, max) path lengths of the children searched so far."""
+
+    state: State
+    depth: int
+    path: tuple | None
+    signatures: Iterator[tuple]
+    lo: int | None = None
+    hi: int | None = None
+
+
+def _steps(path: tuple | None) -> tuple:
+    # A path is a chain of (signature, parent path) links, newest first.
+    steps = []
+    while path is not None:
+        sig, path = path
+        steps.append(sig)
+    return tuple(reversed(steps))
 
 
 def exhaustive_search(
@@ -186,8 +218,10 @@ def exhaustive_search(
     it, exactly as the driver does, but with a free choice of target.
     Reports the minimum and maximum path length to an empty locus over all
     choice sequences; raises :class:`BoundExceededError` with the offending
-    path if any sequence is still busy at the bound, and with an empty path
-    if the search runs out of interpreter stack before it gets there.
+    path if any sequence is still busy at the bound.  The search keeps its
+    own stack, so its depth is not limited by the interpreter's.  Its caches
+    (searched states, each point's centers, each blown-up point's children)
+    live for this one call.
     """
     # Unit factors are invertible and never consulted, so they are dropped;
     # power pairs flatten back to their expanded rows.
@@ -203,43 +237,44 @@ def exhaustive_search(
     root = _canonical(pt for pt in converted if not _raw_principal(pt))
 
     memo: dict[State, tuple[int, int]] = {}
+    centers: dict[RawPoint, list[tuple]] = {}
+    children: dict[tuple[RawPoint, tuple], tuple[RawPoint, ...]] = {}
     explored = 0
-
-    def search(state: State, depth: int, path: tuple) -> tuple[int, int]:
-        nonlocal explored
-        signatures = sorted({sig for pt in state for sig in raw_centers(pt)})
-        if not signatures:
-            return (0, 0)
-        cached = memo.get(state)
-        if cached is not None:
-            if depth + cached[1] > bound.max_depth:
-                raise BoundExceededError(path + (f"... +{cached[1]} more steps",))
-            return cached
-        if depth >= bound.max_depth:
-            raise BoundExceededError(path + (signatures[0],))
-        explored += 1
-        lo, hi = None, None
-        for sig in signatures:
-            child_lo, child_hi = search(_apply(state, sig), depth + 1, path + (sig,))
-            lo = child_lo if lo is None else min(lo, child_lo)
-            hi = child_hi if hi is None else max(hi, child_hi)
-        result = (1 + lo, 1 + hi)
-        memo[state] = result
-        return result
-
-    try:
-        lo, hi = search(root, 0, ())
-    except RecursionError:
-        # One stack frame per step: a depth bound near the interpreter's
-        # recursion limit runs out of stack before it runs out of depth.
-        raise BoundExceededError(
-            (),
-            f"search went deeper than the interpreter's recursion limit "
-            f"({sys.getrecursionlimit()}) allows before reaching the depth bound "
-            f"{bound.max_depth}",
-        ) from None
-    finally:
-        # ``search`` closes over itself, so the memo would otherwise wait
-        # for the cycle collector; freeing it here returns its memory now.
-        memo.clear()
-    return SearchResult(min_depth=lo, max_depth=hi, states_explored=explored)
+    stack: list[_Frame] = []
+    state, depth, path = root, 0, None
+    while True:
+        # The memo only holds states with centers, so it is read first.
+        found = memo.get(state)
+        if found is not None:
+            if depth + found[1] > bound.max_depth:
+                raise BoundExceededError(_steps(path) + (f"... +{found[1]} more steps",))
+        else:
+            signatures: set[tuple] = set()
+            for pt in state:
+                point_centers = centers.get(pt)
+                if point_centers is None:
+                    point_centers = centers[pt] = raw_centers(pt)
+                signatures.update(point_centers)
+            if not signatures:
+                found = (0, 0)
+            else:
+                ordered = sorted(signatures)
+                if depth >= bound.max_depth:
+                    raise BoundExceededError(_steps(path) + (ordered[0],))
+                explored += 1
+                stack.append(_Frame(state, depth, path, iter(ordered)))
+        # Fold each finished state into its parent until some state on the
+        # stack has a center left to try.
+        while stack:
+            frame = stack[-1]
+            if found is not None:
+                frame.lo = found[0] if frame.lo is None else min(frame.lo, found[0])
+                frame.hi = found[1] if frame.hi is None else max(frame.hi, found[1])
+            sig = next(frame.signatures, None)
+            if sig is not None:
+                break
+            found = memo[frame.state] = (1 + frame.lo, 1 + frame.hi)
+            stack.pop()
+        else:
+            return SearchResult(min_depth=found[0], max_depth=found[1], states_explored=explored)
+        state, depth, path = _apply(frame.state, sig, children), frame.depth + 1, (sig, frame.path)

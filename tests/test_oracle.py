@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 
 from toroidalize import oracle
 from toroidalize.cli import main
-from toroidalize.forms import monomial_free, monomial_pair, transverse
+from toroidalize.forms import Form, monomial_free, monomial_pair, transverse
 from toroidalize.oracle import (
     BoundExceededError,
     RawPoint,
     SearchBound,
+    SearchResult,
     exhaustive_search,
     oracle_principal,
     oracle_rank,
     raw_centers,
 )
 from toroidalize.verify import _measure
+
+from conftest import free_presentations, pair_presentations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -225,14 +228,99 @@ def test_column_model_matches_the_models_it_replaced(pt, state, form):
     assert oracle._raw_principal(pt) == _spec_principal(pt)
 
     state = tuple(sorted(set(state)))
+    shared = {}
     for sig in sorted({sig for p in state for sig in raw_centers(p)}):
-        assert oracle._apply(state, sig) == _spec_apply(state, sig)
-        assert oracle._apply((pt,), sig) == _spec_apply((pt,), sig)
+        for applied in (state, (pt,)):
+            assert oracle._apply(applied, sig, {}) == _spec_apply(applied, sig)
+            assert oracle._apply(applied, sig, shared) == _spec_apply(applied, sig)
 
     u, v = [a for a, _ in pt.cols], [b for _, b in pt.cols]
     free_doc = {"form": "monomial_free" if pt.v_free else "monomial_pair", "chart": 1, "u": u, "v": v}
     for doc in (free_doc, {**free_doc, "form": form}):
         assert _measure(doc) == _spec_measure(doc)
+
+
+# -- the search against the recursion it replaced ------------------------------------
+#
+# A test-local copy of the former recursive search, reading the specification
+# functions above: the explicit-stack search must visit the same states in the
+# same order, so results, state counts and overrun paths all agree.  Its
+# recursion-limit branch is left out; the depths drawn here never reach it.
+
+def _recursive_search(presentations, bound):
+    converted = tuple(sorted({
+        RawPoint(p.chart_index, tuple(sorted(p.columns())), p.form is Form.MONOMIAL_FREE)
+        for p in presentations
+    }))
+    root = tuple(pt for pt in converted if not _spec_principal(pt))
+    memo = {}
+    explored = 0
+
+    def search(state, depth, path):
+        nonlocal explored
+        signatures = sorted({sig for pt in state for sig in _spec_centers(pt)})
+        if not signatures:
+            return (0, 0)
+        cached = memo.get(state)
+        if cached is not None:
+            if depth + cached[1] > bound.max_depth:
+                raise BoundExceededError(path + (f"... +{cached[1]} more steps",))
+            return cached
+        if depth >= bound.max_depth:
+            raise BoundExceededError(path + (signatures[0],))
+        explored += 1
+        lo, hi = None, None
+        for sig in signatures:
+            child_lo, child_hi = search(_spec_apply(state, sig), depth + 1, path + (sig,))
+            lo = child_lo if lo is None else min(lo, child_lo)
+            hi = child_hi if hi is None else max(hi, child_hi)
+        memo[state] = (1 + lo, 1 + hi)
+        return memo[state]
+
+    lo, hi = search(root, 0, ())
+    return SearchResult(min_depth=lo, max_depth=hi, states_explored=explored)
+
+
+def _outcome(search, presentations, bound):
+    try:
+        return search(presentations, bound)
+    except BoundExceededError as exc:
+        return (exc.path, str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    presentations=st.lists(
+        st.one_of(free_presentations(max_entry=3, max_k=3), pair_presentations(max_entry=3, max_k=3)),
+        min_size=1,
+        max_size=3,
+    ),
+    depth=st.integers(1, 20),
+)
+def test_search_matches_the_recursion_it_replaced(presentations, depth):
+    bound = SearchBound(max_entry=8, max_k=4, max_depth=depth)
+    assert _outcome(exhaustive_search, presentations, bound) == _outcome(
+        _recursive_search, presentations, bound
+    )
+
+
+def test_search_overrun_through_a_memoised_state():
+    # The fourth step reaches a state already searched, whose longest path
+    # needs one more step than the bound leaves.
+    p = monomial_pair((1, 1, 1), (0, 3, 0), 1)
+    bound = SearchBound(8, 4, 4)
+    expected = (
+        (1, "pair", ((1, 0), (1, 3))),
+        (1, "pair", ((1, 0), (2, 3))),
+        (1, "pair", ((1, 0), (2, 3))),
+        (1, "pair", ((1, 0), (1, 3))),
+        "... +1 more steps",
+    )
+    for search in (exhaustive_search, _recursive_search):
+        with pytest.raises(BoundExceededError) as exc:
+            search([p], bound)
+        assert exc.value.path == expected
+        assert str(exc.value) == "search path of length 5 exceeds the depth bound"
 
 
 # (min_depth, max_depth, states_explored) of every fixture at --depth 32, or
