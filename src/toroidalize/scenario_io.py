@@ -1,9 +1,14 @@
 """Scenario and trace (de)serialization with canonical JSON.
 
 Scenario files and traces are plain JSON validated against the schemas
-packaged in ``toroidalize/schemas``.  Emission is canonical: sorted keys,
-two-space indent, trailing newline, no timestamps, so identical runs
-produce byte-identical files.  ``canonical_dumps`` writes exactly what
+packaged in ``toroidalize/schemas``.  The validator is this module's own: it
+implements the Draft 2020-12 keywords those two schemas use, refuses any
+other, and reports the path and message that jsonschema's
+``Draft202012Validator`` would, so the package has no runtime dependency.
+
+Emission is canonical: sorted keys, two-space indent, trailing newline, no
+timestamps, so identical runs produce byte-identical files.
+``canonical_dumps`` writes exactly what
 ``json.dumps(doc, sort_keys=True, indent=2)`` does, without the pure-Python
 encoder that ``json`` falls back to whenever ``indent`` is set.
 """
@@ -11,13 +16,13 @@ encoder that ``json`` falls back to whenever ``indent`` is set.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-
-import jsonschema
+from typing import Callable
 
 from . import forms
 from .descent import TEMPLATES, ClassifiedLeaf, own_branches
@@ -45,26 +50,315 @@ class RoundPlan:
     branch_overrides: tuple[tuple[int, int], ...] = ()
 
 
+# -- schema validation -------------------------------------------------------------
+#
+# Errors are (path, message) pairs in the order, and with the text, of
+# jsonschema's ``Draft202012Validator.iter_errors``.
+
+_Errors = list[tuple[tuple, str]]  # or an empty tuple, when there are none
+
+# Keywords that never reject an instance; ``$defs`` is compiled for ``$ref``.
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "$defs"})
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    # 1.0 is an integer, True is not
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: a bool equals only itself, not 1 or 0."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(x, b[k]) for k, x in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _in_turn(checks: list[Callable[[object], _Errors]]) -> Callable[[object], _Errors]:
+    """One check that runs ``checks`` in order and joins their errors."""
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(instance):
+        errors = []
+        for each in checks:
+            errors += each(instance)
+        return errors
+
+    return check
+
+
+class _Validator:
+    """A schema compiled into one check per keyword, run in schema order.
+
+    ``errors(doc)`` lists each error's (path, message).  A keyword outside
+    the implemented set raises ``ValueError`` here, so a schema edit cannot
+    be skipped silently.  Checks return lists, not generators, which is
+    faster on large valid traces, where nearly every check finds nothing.
+    """
+
+    def __init__(self, schema: dict) -> None:
+        defs = schema.get("$defs", {})
+        self._defs: dict[str, Callable[[object], _Errors]] = dict.fromkeys(defs)
+        self._defs.update((name, self._compile(sub)) for name, sub in defs.items())
+        self.errors = self._compile(schema)
+
+    def _compile(self, schema) -> Callable[[object], _Errors]:
+        if schema is True:
+            return lambda instance: ()
+        if not isinstance(schema, dict):
+            raise ValueError(f"unsupported schema {schema!r}")
+        checks = []
+        for key, value in schema.items():
+            if key in _ANNOTATIONS or (key == "then" and "if" in schema):
+                continue
+            keyword = self._KEYWORDS.get(key)
+            if keyword is None:
+                raise ValueError(f"unsupported schema keyword {key!r}")
+            checks.append(keyword(self, value, schema))
+        return _in_turn(checks)
+
+    def _type(self, types, schema):
+        names = [types] if isinstance(types, str) else types
+        tests = [_TYPES[name] for name in names]
+        expected = ", ".join(map(repr, names))
+
+        def check(instance):
+            for test in tests:
+                if test(instance):
+                    return ()
+            return [((), f"{instance!r} is not of type {expected}")]
+
+        return check
+
+    def _const(self, const, schema):
+        def check(instance):
+            if _equal(instance, const):
+                return ()
+            return [((), f"{const!r} was expected")]
+
+        return check
+
+    def _enum(self, enums, schema):
+        def check(instance):
+            for each in enums:
+                if _equal(each, instance):
+                    return ()
+            return [((), f"{instance!r} is not one of {enums!r}")]
+
+        return check
+
+    def _minimum(self, minimum, schema):
+        def check(instance):
+            if _is_number(instance) and instance < minimum:
+                return [((), f"{instance!r} is less than the minimum of {minimum!r}")]
+            return ()
+
+        return check
+
+    def _maximum(self, maximum, schema):
+        def check(instance):
+            if _is_number(instance) and instance > maximum:
+                return [((), f"{instance!r} is greater than the maximum of {maximum!r}")]
+            return ()
+
+        return check
+
+    def _min_items(self, least, schema):
+        message = "should be non-empty" if least == 1 else "is too short"
+
+        def check(instance):
+            if isinstance(instance, list) and len(instance) < least:
+                return [((), f"{instance!r} {message}")]
+            return ()
+
+        return check
+
+    def _max_items(self, most, schema):
+        message = "is expected to be empty" if most == 0 else "is too long"
+
+        def check(instance):
+            if isinstance(instance, list) and len(instance) > most:
+                return [((), f"{instance!r} {message}")]
+            return ()
+
+        return check
+
+    def _items(self, items, schema):
+        item_check = self._compile(items)
+
+        def check(instance):
+            if not isinstance(instance, list):
+                return ()
+            errors = []
+            for index, item in enumerate(instance):
+                for path, message in item_check(item):
+                    errors.append(((index, *path), message))
+            return errors
+
+        return check
+
+    def _properties(self, properties, schema):
+        checks = [(name, self._compile(sub)) for name, sub in properties.items()]
+
+        def check(instance):
+            if not isinstance(instance, dict):
+                return ()
+            errors = []
+            for name, property_check in checks:
+                if name in instance:
+                    for path, message in property_check(instance[name]):
+                        errors.append(((name, *path), message))
+            return errors
+
+        return check
+
+    def _pattern_properties(self, patterns, schema):
+        checks = [(re.compile(pattern).search, self._compile(sub)) for pattern, sub in patterns.items()]
+
+        def check(instance):
+            if not isinstance(instance, dict):
+                return ()
+            errors = []
+            for search, property_check in checks:
+                for name, value in instance.items():
+                    if search(name):
+                        for path, message in property_check(value):
+                            errors.append(((name, *path), message))
+            return errors
+
+        return check
+
+    def _required(self, required, schema):
+        def check(instance):
+            if not isinstance(instance, dict):
+                return ()
+            return [((), f"{name!r} is a required property") for name in required if name not in instance]
+
+        return check
+
+    def _additional_properties(self, allowed, schema):
+        if allowed is not False:
+            raise ValueError(f"unsupported additionalProperties {allowed!r}, only false")
+        known = schema.get("properties", {})
+        patterns = "|".join(schema.get("patternProperties", {}))
+        search = re.compile(patterns).search if patterns else lambda name: None
+        if "patternProperties" in schema:
+            regexes = ", ".join(map(repr, sorted(schema["patternProperties"])))
+
+            def report(extras):
+                verb = "does" if len(extras) == 1 else "do"
+                return f"{', '.join(map(repr, extras))} {verb} not match any of the regexes: {regexes}"
+        else:
+
+            def report(extras):
+                verb = "was" if len(extras) == 1 else "were"
+                return f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+
+        def check(instance):
+            if not isinstance(instance, dict):
+                return ()
+            extras = [name for name in instance if name not in known and not search(name)]
+            return [((), report(sorted(extras)))] if extras else ()
+
+        return check
+
+    def _ref(self, ref, schema):
+        name = ref.removeprefix("#/$defs/")
+        if name == ref or name not in self._defs:
+            raise ValueError(f"unsupported $ref {ref!r}")
+        defs = self._defs
+
+        def check(instance):
+            return defs[name](instance)
+
+        return check
+
+    def _all_of(self, subschemas, schema):
+        return _in_turn([self._compile(sub) for sub in subschemas])
+
+    def _if(self, condition, schema):
+        test = self._compile(condition)
+        then = self._compile(schema.get("then", True))
+
+        def check(instance):
+            return () if test(instance) else then(instance)
+
+        return check
+
+    def _one_of(self, subschemas, schema):
+        checks = [(sub, self._compile(sub)) for sub in subschemas]
+
+        def check(instance):
+            valid = [sub for sub, sub_check in checks if not sub_check(instance)]
+            if not valid:
+                return [((), f"{instance!r} is not valid under any of the given schemas")]
+            if len(valid) > 1:
+                # jsonschema names the later matches first, then the first one
+                listed = ", ".join(map(repr, valid[1:] + valid[:1]))
+                return [((), f"{instance!r} is valid under each of {listed}")]
+            return ()
+
+        return check
+
+    _KEYWORDS = {
+        "type": _type,
+        "const": _const,
+        "enum": _enum,
+        "minimum": _minimum,
+        "maximum": _maximum,
+        "minItems": _min_items,
+        "maxItems": _max_items,
+        "items": _items,
+        "properties": _properties,
+        "patternProperties": _pattern_properties,
+        "required": _required,
+        "additionalProperties": _additional_properties,
+        "$ref": _ref,
+        "allOf": _all_of,
+        "if": _if,
+        "oneOf": _one_of,
+    }
+
+
 def _load_schema(name: str) -> dict:
     text = resources.files("toroidalize.schemas").joinpath(name).read_text()
     return json.loads(text)
 
 
 @cache
-def _validator(name: str) -> jsonschema.Draft202012Validator:
-    return jsonschema.Draft202012Validator(_load_schema(name))
+def _validator(name: str) -> _Validator:
+    return _Validator(_load_schema(name))
 
 
 def check_schema(doc, schema_name: str) -> None:
+    """Raise ``SchemaError`` for the deepest error in ``doc``, the last one
+    in iteration order among equally deep paths."""
     errors = sorted(
-        _validator(schema_name).iter_errors(doc), key=lambda e: (len(e.absolute_path), str(e.absolute_path))
+        _validator(schema_name).errors(doc), key=lambda e: (len(e[0]), str(list(e[0])))
     )
     if errors:
-        err = errors[-1]
-        path = "$" + "".join(
-            f"[{part}]" if isinstance(part, int) else f".{part}" for part in err.absolute_path
+        path, message = errors[-1]
+        raise SchemaError(
+            "$" + "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path),
+            message,
         )
-        raise SchemaError(path, err.message)
 
 
 def canonical_dumps(doc) -> str:
