@@ -8,8 +8,11 @@ driver's phase policy) that reports how long the shortest and longest
 paths to an empty locus are.  The search and ``verify``'s descent measure
 both read centers from the column model: :class:`RawPoint`,
 :func:`raw_centers`, :func:`raw_measure` and :func:`raw_blowup`.  The same
-points recur across many search states, so the search computes each point's
-centers, and its children under each center, once and reuses them.
+points recur across many search states, so one search interns each distinct
+point and center signature as a small int the first time it sees it, with a
+point's signature ids and, once it is blown up, its children's ids per
+signature.  A state is the sorted tuple of its point ids, and a step
+rewrites ids.  These tables are local to one call, so no search starts warm.
 
 Nothing is imported from the engine beyond the two data types ``Form``
 and ``MonomialPresentation``.  That independence is the point: agreement
@@ -141,43 +144,77 @@ def raw_blowup(pt: RawPoint, positions: tuple[int, ...]) -> tuple[RawPoint, RawP
 def _raw_principal(pt: RawPoint) -> bool:
     # oracle_principal on the point's rows: x^u divides x^v [* y] columnwise,
     # or x^v divides x^u when v carries no free factor.
-    return all(a <= b for a, b in pt.cols) or (not pt.v_free and all(b <= a for a, b in pt.cols))
+    u_divides = v_divides = True
+    for a, b in pt.cols:
+        if a > b:
+            u_divides = False
+        elif b > a:
+            v_divides = False
+    return u_divides or (v_divides and not pt.v_free)
 
 
-State = tuple[RawPoint, ...]
+class _Tables:
+    """The interning tables of one search.  Each distinct point and center
+    signature gets a small int id the first time it is seen, so states,
+    memo keys and per-edge center tests work on ints, not on nested tuples
+    whose hash is recomputed at every lookup.  Per point id: the point, the
+    ids of the signatures it carries, and its non-principal children's ids
+    under each signature it has been blown up at."""
 
+    __slots__ = ("points", "point_ids", "carried", "children", "signatures", "signature_ids")
 
-def _canonical(points: Iterable[RawPoint]) -> State:
-    # Duplicate points share every center signature, so they always get blown
-    # up together and evolve identically; a set of points loses nothing.
-    return tuple(sorted(set(points)))
+    def __init__(self) -> None:
+        self.points: list[RawPoint] = []
+        self.point_ids: dict[RawPoint, int] = {}
+        self.carried: list[tuple[int, ...]] = []
+        self.children: list[dict[int, tuple[int, ...]]] = []
+        self.signatures: list[tuple] = []
+        self.signature_ids: dict[tuple, int] = {}
 
+    def signature(self, signature: tuple) -> int:
+        found = self.signature_ids.get(signature)
+        if found is None:
+            found = self.signature_ids[signature] = len(self.signatures)
+            self.signatures.append(signature)
+        return found
 
-def _apply(
-    state: State, signature: tuple, children: dict[tuple[RawPoint, tuple], tuple[RawPoint, ...]]
-) -> State:
-    """Blow up every point of ``state`` that carries ``signature``, at its
-    first columns equal to the signature's; keep the others as they are.
-    New children lose their principal members and get sorted columns.
-    ``children`` caches each blown-up point's children by (point, signature)."""
-    chart, kind, data = signature
-    free = kind == "free"
-    center_cols = (data,) if free else data
-    out: list[RawPoint] = []
-    for pt in state:
-        if pt.chart != chart or pt.v_free != free or not all(map(pt.cols.__contains__, center_cols)):
-            out.append(pt)
-            continue
-        key = (pt, signature)
-        kept = children.get(key)
-        if kept is None:
-            kept = children[key] = tuple(
-                RawPoint(chart, tuple(sorted(child.cols)), child.v_free)
-                for child in raw_blowup(pt, tuple(map(pt.cols.index, center_cols)))
-                if not _raw_principal(child)
-            )
-        out.extend(kept)
-    return _canonical(out)
+    def point(self, pt: RawPoint) -> int:
+        found = self.point_ids.get(pt)
+        if found is None:
+            found = self.point_ids[pt] = len(self.points)
+            self.points.append(pt)
+            self.carried.append(tuple([self.signature(sig) for sig in raw_centers(pt)]))
+            self.children.append({})
+        return found
+
+    def state(self, points: Iterable[RawPoint]) -> tuple[int, ...]:
+        # Duplicate points share every center signature, so they always get
+        # blown up together and evolve identically; a set of points loses
+        # nothing.
+        return tuple(sorted(set(map(self.point, points))))
+
+    def apply(self, state: tuple[int, ...], signature: int) -> tuple[int, ...]:
+        """Blow up every point of ``state`` that carries ``signature``, at
+        its first columns equal to the signature's; keep the others as they
+        are.  A blown-up point's non-principal children, with sorted columns,
+        are cached under the signature."""
+        out: list[int] = []
+        for point in state:
+            if signature not in self.carried[point]:
+                out.append(point)
+                continue
+            kept = self.children[point].get(signature)
+            if kept is None:
+                pt = self.points[point]
+                chart, kind, data = self.signatures[signature]
+                positions = tuple(map(pt.cols.index, (data,) if kind == "free" else data))
+                kept = self.children[point][signature] = tuple([
+                    self.point(RawPoint(chart, tuple(sorted(child.cols)), child.v_free))
+                    for child in raw_blowup(pt, positions)
+                    if not _raw_principal(child)
+                ])
+            out.extend(kept)
+        return tuple(sorted(set(out)))
 
 
 @dataclass(frozen=True)
@@ -192,20 +229,20 @@ class _Frame:
     """A state whose children are being searched, with the path that led to
     it and the (min, max) path lengths of the children searched so far."""
 
-    state: State
+    state: tuple[int, ...]
     depth: int
     path: tuple | None
-    signatures: Iterator[tuple]
+    signatures: Iterator[int]
     lo: int | None = None
     hi: int | None = None
 
 
-def _steps(path: tuple | None) -> tuple:
-    # A path is a chain of (signature, parent path) links, newest first.
+def _steps(path: tuple | None, signatures: list[tuple]) -> tuple:
+    # A path is a chain of (signature id, parent path) links, newest first.
     steps = []
     while path is not None:
         sig, path = path
-        steps.append(sig)
+        steps.append(signatures[sig])
     return tuple(reversed(steps))
 
 
@@ -219,26 +256,26 @@ def exhaustive_search(
     Reports the minimum and maximum path length to an empty locus over all
     choice sequences; raises :class:`BoundExceededError` with the offending
     path if any sequence is still busy at the bound.  The search keeps its
-    own stack, so its depth is not limited by the interpreter's.  Its caches
-    (searched states, each point's centers, each blown-up point's children)
-    live for this one call.
+    own stack, so its depth is not limited by the interpreter's.  It runs on
+    interned point and signature ids; its tables and its memo of searched
+    states live for this one call.
     """
     # Unit factors are invertible and never consulted, so they are dropped;
     # power pairs flatten back to their expanded rows.
-    converted = _canonical(
+    converted = sorted({
         RawPoint(p.chart_index, tuple(sorted(p.columns())), p.form is Form.MONOMIAL_FREE)
         for p in presentations
-    )
+    })
     for pt in converted:
         if len(pt.cols) > bound.max_k:
             raise ValueError(f"presentation exceeds max_k={bound.max_k}")
         if any(e > bound.max_entry for col in pt.cols for e in col):
             raise ValueError(f"presentation exceeds max_entry={bound.max_entry}")
-    root = _canonical(pt for pt in converted if not _raw_principal(pt))
+    tables = _Tables()
+    root = tables.state(pt for pt in converted if not _raw_principal(pt))
+    carried, signature_of, apply = tables.carried, tables.signatures, tables.apply
 
-    memo: dict[State, tuple[int, int]] = {}
-    centers: dict[RawPoint, list[tuple]] = {}
-    children: dict[tuple[RawPoint, tuple], tuple[RawPoint, ...]] = {}
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}
     explored = 0
     stack: list[_Frame] = []
     state, depth, path = root, 0, None
@@ -247,20 +284,19 @@ def exhaustive_search(
         found = memo.get(state)
         if found is not None:
             if depth + found[1] > bound.max_depth:
-                raise BoundExceededError(_steps(path) + (f"... +{found[1]} more steps",))
+                raise BoundExceededError(_steps(path, signature_of) + (f"... +{found[1]} more steps",))
         else:
-            signatures: set[tuple] = set()
-            for pt in state:
-                point_centers = centers.get(pt)
-                if point_centers is None:
-                    point_centers = centers[pt] = raw_centers(pt)
-                signatures.update(point_centers)
+            signatures: set[int] = set()
+            for point in state:
+                signatures.update(carried[point])
             if not signatures:
                 found = (0, 0)
             else:
-                ordered = sorted(signatures)
+                # Ordered by the signature tuples, not their ids, so the
+                # search visits states in an order independent of interning.
+                ordered = sorted(signatures, key=signature_of.__getitem__)
                 if depth >= bound.max_depth:
-                    raise BoundExceededError(_steps(path) + (ordered[0],))
+                    raise BoundExceededError(_steps(path, signature_of) + (signature_of[ordered[0]],))
                 explored += 1
                 stack.append(_Frame(state, depth, path, iter(ordered)))
         # Fold each finished state into its parent until some state on the
@@ -268,8 +304,10 @@ def exhaustive_search(
         while stack:
             frame = stack[-1]
             if found is not None:
-                frame.lo = found[0] if frame.lo is None else min(frame.lo, found[0])
-                frame.hi = found[1] if frame.hi is None else max(frame.hi, found[1])
+                if frame.lo is None or found[0] < frame.lo:
+                    frame.lo = found[0]
+                if frame.hi is None or found[1] > frame.hi:
+                    frame.hi = found[1]
             sig = next(frame.signatures, None)
             if sig is not None:
                 break
@@ -277,4 +315,4 @@ def exhaustive_search(
             stack.pop()
         else:
             return SearchResult(min_depth=found[0], max_depth=found[1], states_explored=explored)
-        state, depth, path = _apply(frame.state, sig, children), frame.depth + 1, (sig, frame.path)
+        state, depth, path = apply(frame.state, sig), frame.depth + 1, (sig, frame.path)

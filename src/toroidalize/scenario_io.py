@@ -451,7 +451,9 @@ _ROW_FORMS = {
 
 
 def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> MonomialPresentation:
-    chart = doc["chart"]
+    # The schema admits an integral float such as 1.0 as an integer; read it
+    # as the int it names, for indexing and for the presentation it builds.
+    chart = int(doc["chart"])
     if chart > len(charts):
         raise SchemaError(f"{path}.chart", f"chart {chart} not declared (only {len(charts)})")
     form = Form(doc["form"])

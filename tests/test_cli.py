@@ -1,15 +1,20 @@
+import contextlib
 import copy
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toroidalize.cli import main
 from toroidalize.scenario_io import canonical_dumps, load_trace
 from toroidalize.verify import VerificationError, verify_trace
 
 from conftest import assert_verifies_as_written, reference_dumps
+from test_verify import one_node_edits
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json"))
@@ -209,6 +214,53 @@ def test_chart_and_branch_errors_report(scenario, code, kind, detail, tmp_path, 
     assert main(["run", str(path), "-o", str(tmp_path / "t.json")]) == code
     expected = {"status": "error", "kind": kind, "exit": code, "detail": detail}
     assert capsys.readouterr().out == reference_dumps(expected)
+
+
+def test_integral_float_chart_runs_as_its_int(tmp_path, capsys):
+    # The schema counts 1.0 as an integer, so a chart index spelled that way
+    # must run, verify and search exactly as the int does.
+    doc = json.loads((FIXTURES / "mixed_charts.json").read_text())
+    floated = copy.deepcopy(doc)
+    for p in floated["presentations"]:
+        p["chart"] = float(p["chart"])
+    assert any(p["chart"] == 2.0 for p in floated["presentations"])
+    traces, reports = [], []
+    for name, scenario in (("int", doc), ("float", floated)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / f"{name}.trace.json"
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+        traces.append(json.loads(out.read_text()))
+    # json.dumps tells 1.0 from 1, which == does not
+    assert json.dumps(traces[1]["rounds"]) == json.dumps(traces[0]["rounds"])
+    assert reports[1] == reports[0]
+
+
+@pytest.fixture(scope="module")
+def fuzz_scenarios(tmp_path_factory):
+    return [json.loads(f.read_text()) for f in ALL_FIXTURES], tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_node_scenario_edit_reports_through_run_and_oracle(fuzz_scenarios, data):
+    scenarios, work = fuzz_scenarios
+    doc = data.draw(one_node_edits(data.draw(st.sampled_from(scenarios))))
+    path = work / "edited.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["run", str(path), "-o", str(work / "edited.trace.json")],
+        ["oracle", str(path), "--depth", "8"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv[0], code)
+        assert isinstance(json.loads(out.getvalue()), dict)
 
 
 def test_oracle_exits(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The brute-force verifiers themselves, pinned first: every derived value
 elsewhere in the suite was computed by these."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -206,6 +207,12 @@ def _spec_measure(doc):
     return (top, values.count(top))
 
 
+def _tables_apply(tables, state, signature):
+    # The search's id rewrite, read back as points.
+    ids = tables.apply(tables.state(state), tables.signature(signature))
+    return tuple(sorted(tables.points[i] for i in ids))
+
+
 @st.composite
 def raw_points(draw, chart=None, sort=False):
     k = draw(st.integers(1, 5))
@@ -228,11 +235,11 @@ def test_column_model_matches_the_models_it_replaced(pt, state, form):
     assert oracle._raw_principal(pt) == _spec_principal(pt)
 
     state = tuple(sorted(set(state)))
-    shared = {}
+    shared = oracle._Tables()
     for sig in sorted({sig for p in state for sig in raw_centers(p)}):
         for applied in (state, (pt,)):
-            assert oracle._apply(applied, sig, {}) == _spec_apply(applied, sig)
-            assert oracle._apply(applied, sig, shared) == _spec_apply(applied, sig)
+            assert _tables_apply(oracle._Tables(), applied, sig) == _spec_apply(applied, sig)
+            assert _tables_apply(shared, applied, sig) == _spec_apply(applied, sig)
 
     u, v = [a for a, _ in pt.cols], [b for _, b in pt.cols]
     free_doc = {"form": "monomial_free" if pt.v_free else "monomial_pair", "chart": 1, "u": u, "v": v}
@@ -368,3 +375,44 @@ def test_oracle_depth_32_pin(fixture, capsys):
     else:
         assert code == 0
         assert (report["min_depth"], report["max_depth"], report["states_explored"]) == DEPTH_32[fixture]
+
+
+# -- pins at the scale the benchmark runs --------------------------------------------
+#
+# Captured from the search before it ran on interned ids.  The Hypothesis
+# property above stops at depth 20; these hold the search to its output on
+# inputs that reach 15119 states and a 401-step overrun path.
+
+def _scenario_file(tmp_path, n, presentations):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "version": 1, "n": n,
+        "charts": [{"q_in_divisor": True}],
+        "presentations": [{"chart": 1, **p} for p in presentations],
+    }))
+    return path
+
+
+def test_oracle_pin_on_two_free_presentations(tmp_path, capsys):
+    path = _scenario_file(tmp_path, 4, [
+        {"form": "monomial_free", "u": [8, 7, 6], "v": [0, 0, 0]},
+        {"form": "monomial_free", "u": [5, 4], "v": [0, 0]},
+    ])
+    assert main(["oracle", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["min_depth"], report["max_depth"], report["states_explored"]) == (30, 30, 15119)
+
+
+# sha256 of the whole exit-3 report of `oracle --depth 400` on the deep pair
+DEEP_PAIR_400_SHA256 = "4f34f55179728f4b0903b59c57a5101111740494a0eaf2839f80882c790a382a"
+
+
+def test_oracle_overrun_report_on_the_deep_pair(tmp_path, capsys):
+    path = _scenario_file(tmp_path, 4, [{"form": "monomial_pair", "u": [0, 0, 0, 3], "v": [3, 3, 2, 0]}])
+    assert main(["oracle", str(path), "--depth", "400"]) == 3
+    out = capsys.readouterr().out
+    detail = json.loads(out)["detail"]
+    assert detail["message"] == "search path of length 401 exceeds the depth bound"
+    assert detail["path"][:2] == ["(1, 'pair', ((3, 0), (0, 2)))", "(1, 'pair', ((3, 0), (0, 3)))"]
+    assert detail["path"][-1] == "(1, 'pair', ((582, 581), (585, 586)))"
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (17922, DEEP_PAIR_400_SHA256)
