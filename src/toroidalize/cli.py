@@ -7,7 +7,15 @@ trace independently.  ``oracle`` explores every permissible blowup order
 by brute force and reports the depth range.
 
 Exit codes: 0 success, 2 schema/input error, 3 step or depth budget
-exceeded, 4 classification failure, 5 verification failure.
+exceeded, 4 classification failure, 5 verification failure.  Every
+failure but a usage error writes a JSON report to stdout.  A usage error
+(no or an unknown verb, a missing or ill-typed argument) is argparse's:
+``main`` raises ``SystemExit(2)`` with the usage line on stderr and writes
+no report.
+
+``main(argv)`` returns the exit code and can be called repeatedly in one
+process: every call parses with the one parser that ``build_parser``
+builds on the first call.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .oracle import BoundExceededError, SearchBound, exhaustive_search
@@ -204,7 +213,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for all three verbs, built on the first call and shared
+    by every later one; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="toroidalize",
         description="Exact blowup sequences for monomial morphisms to a surface, with verification.",

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroidalize.cli import main
+from toroidalize.cli import build_parser, main
 from toroidalize.scenario_io import canonical_dumps, load_trace
 from toroidalize.verify import VerificationError, verify_trace
 
@@ -245,22 +247,30 @@ def fuzz_scenarios(tmp_path_factory):
     return [json.loads(f.read_text()) for f in ALL_FIXTURES], tmp_path_factory.mktemp("fuzz")
 
 
+def _call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_one_node_scenario_edit_reports_through_run_and_oracle(fuzz_scenarios, data):
+    # a trace that run writes is one that verify accepts
     scenarios, work = fuzz_scenarios
     doc = data.draw(one_node_edits(data.draw(st.sampled_from(scenarios))))
     path = work / "edited.json"
     path.write_text(json.dumps(doc))
-    for argv in (
-        ["run", str(path), "-o", str(work / "edited.trace.json")],
-        ["oracle", str(path), "--depth", "8"],
-    ):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
+    trace = str(work / "edited.trace.json")
+    for argv in (["run", str(path), "-o", trace], ["oracle", str(path), "--depth", "8"]):
+        code, out = _call(argv)
         assert code in (0, 2, 3, 4), (argv[0], code)
-        assert isinstance(json.loads(out.getvalue()), dict)
+        assert isinstance(json.loads(out), dict)
+        if argv[0] == "run" and code == 0:
+            code, out = _call(["verify", trace])
+            assert code == 0
+            assert json.loads(out)["status"] == "ok"
 
 
 def test_oracle_exits(tmp_path, capsys):
@@ -352,6 +362,73 @@ def test_verify_accepts_run_trace_of_reseeded_free_pair(tmp_path, capsys):
     out = tmp_path / "reseeded.trace.json"
     assert main(["run", str(scenario), "-o", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
+
+
+# -- usage errors and the shared parser ---------------------------------------------
+
+EUCLID = str(FIXTURES / "euclid.json")
+USAGE_ERRORS = [
+    [],
+    ["frobnicate"],
+    ["run"],
+    ["verify"],
+    ["run", EUCLID, "--max-steps", "x"],
+    ["run", EUCLID, "--format", "xml"],
+    ["oracle", EUCLID, "--depth", "x"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", USAGE_ERRORS, ids=lambda argv: " ".join(Path(a).name for a in argv) or "no-verb"
+)
+def test_usage_error_is_argparse_exit_2(argv, monkeypatch, capsys):
+    # argparse wraps the usage line to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    stderrs = []
+    for parse in (main, main, build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        stderrs.append(captured.err)
+    # the shared parser, called twice, writes what a fresh parser writes
+    assert stderrs[0].startswith("usage: toroidalize")
+    assert stderrs[0] == stderrs[1] == stderrs[2]
+
+
+def _cli_child(argv):
+    src = str(Path(__file__).parent.parent / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    child = subprocess.run(
+        [sys.executable, "-B", "-m", "toroidalize.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
+def test_calls_on_the_shared_parser_match_one_process_per_call(tmp_path, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    trace = str(tmp_path / "euclid.trace.json")
+    sequence = [
+        ["run", EUCLID, "-o", trace],
+        ["run", EUCLID, "--format", "xml"],
+        ["verify", trace],
+        ["oracle", EUCLID, "--depth", "32"],
+        ["run", str(FIXTURES / "multi_round.json"), "-o", str(tmp_path / "mr.trace.json"), "--max-steps", "1"],
+        ["verify", trace],
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _cli_child(argv), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0, 3, 0]
 
 
 # -- tamper detection -------------------------------------------------------------
