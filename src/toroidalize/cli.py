@@ -8,7 +8,10 @@ by brute force and reports the depth range.
 
 Exit codes: 0 success, 2 schema/input error, 3 step or depth budget
 exceeded, 4 classification failure, 5 verification failure.  Every
-failure but a usage error writes a JSON report to stdout.  A usage error
+failure but a usage error writes a JSON report to stdout.  ``main`` alone
+maps a raised failure (``SchemaError``, ``RoundError``,
+``BoundExceededError``, ``VerificationError``) to its exit code and report;
+the verbs write only the two ``"bounds"`` reports themselves.  A usage error
 (no or an unknown verb, a missing or ill-typed argument) is argparse's:
 ``main`` raises ``SystemExit(2)`` with the usage line on stderr and writes
 no report.
@@ -105,26 +108,11 @@ def _fail(code: int, kind: str, report: dict) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.max_steps is not None and args.max_steps < 0:
         return _fail(EXIT_SCHEMA, "bounds", {"message": "--max-steps must be non-negative"})
-    try:
-        scenario, plans, doc = load_scenario(args.scenario)
-    except SchemaError as exc:
-        return _fail(EXIT_SCHEMA, "schema", {"path": exc.path, "message": exc.reason})
+    scenario, plans, doc = load_scenario(args.scenario)
     budgets = None if args.max_steps is None else [args.max_steps] * len(plans)
-    try:
-        trace = trace_doc(doc, list(run_rounds(scenario, plans, budgets)))
-    except RoundError as exc:
-        detail = {"message": str(exc), "round": exc.round_index}
-        if exc.stage == "budget":
-            return _fail(EXIT_BUDGET, "budget", {**detail, "steps": exc.__cause__.steps})
-        if exc.stage == "classification":
-            return _fail(EXIT_CLASSIFY, "classification", detail)
-        detail["message"] = f"reseeding round {exc.round_index}: {exc}"
-        return _fail(EXIT_SCHEMA, "schema", detail)
+    trace = trace_doc(doc, list(run_rounds(scenario, plans, budgets)))
     out = Path(args.trace_out) if args.trace_out else Path(args.scenario).with_suffix(".trace.json")
-    try:
-        write_trace(trace, out)
-    except OSError as exc:
-        return _fail(EXIT_SCHEMA, "schema", {"path": "$", "message": f"cannot write trace file: {exc}"})
+    write_trace(trace, out)
     if args.format == "text":
         sys.stdout.write(render_text(trace))
     else:
@@ -147,58 +135,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Accept a trace when the checks pass and its regeneration dumps to
     the same sorted-key JSON (``1``, ``1.0`` and ``true`` differ there):
     it is then what ``run`` writes, and that passes the trace schema.  Only
-    otherwise run the full trace schema, whose error exits 2 before the
-    outcome of the checks is reported.
+    otherwise run the full trace schema, whose error is reported ahead of
+    whatever the checks raised.
     """
-    try:
-        trace = read_trace(args.trace)
-    except SchemaError as exc:
-        return _fail(EXIT_SCHEMA, "schema", {"path": exc.path, "message": exc.reason})
-    outcome: Exception | None = None
+    trace = read_trace(args.trace)
     try:
         regenerated = verify_trace(trace)
-    except Exception as exc:  # reported below, once the trace schema has passed
-        outcome = exc
+    except Exception:
+        load_trace(args.trace)
+        raise
     # compact dumps take the C encoder, about half of canonical_dumps' time
-    if outcome is not None or (
-        json.dumps(regenerated, sort_keys=True) != json.dumps(trace, sort_keys=True)
-    ):
-        try:
-            load_trace(args.trace)
-        except SchemaError as exc:
-            return _fail(EXIT_SCHEMA, "schema", {"path": exc.path, "message": exc.reason})
-    if isinstance(outcome, VerificationError):
-        return _fail(
-            EXIT_VERIFY,
-            "verification",
-            {
-                "invariant": outcome.invariant,
-                "round": outcome.round_index,
-                "step": outcome.step_index,
-                "message": str(outcome),
-            },
-        )
-    if outcome is not None:
-        raise outcome
+    if json.dumps(regenerated, sort_keys=True) != json.dumps(trace, sort_keys=True):
+        load_trace(args.trace)
     _emit({"status": "ok", "summary": trace["summary"]})
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        scenario, _, _ = load_scenario(args.scenario)
-    except SchemaError as exc:
-        return _fail(EXIT_SCHEMA, "schema", {"path": exc.path, "message": exc.reason})
+    scenario, _, _ = load_scenario(args.scenario)
     presentations = [e.presentation for e in scenario.entries]
     try:
         bound = SearchBound(max_entry=args.max_entry, max_k=args.max_k, max_depth=args.depth)
         result = exhaustive_search(presentations, bound)
-    except BoundExceededError as exc:
-        return _fail(
-            EXIT_BUDGET,
-            "depth",
-            {"message": str(exc), "path": [str(step) for step in exc.path]},
-        )
     except ValueError as exc:
         return _fail(EXIT_SCHEMA, "bounds", {"message": str(exc)})
     _emit(
@@ -245,7 +203,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SchemaError as exc:
+        return _fail(EXIT_SCHEMA, "schema", {"path": exc.path, "message": exc.reason})
+    except RoundError as exc:
+        detail = {"message": str(exc), "round": exc.round_index}
+        if exc.stage == "budget":
+            return _fail(EXIT_BUDGET, "budget", {**detail, "steps": exc.__cause__.steps})
+        if exc.stage == "classification":
+            return _fail(EXIT_CLASSIFY, "classification", detail)
+        detail["message"] = f"reseeding round {exc.round_index}: {exc}"
+        return _fail(EXIT_SCHEMA, "schema", detail)
+    except BoundExceededError as exc:
+        return _fail(EXIT_BUDGET, "depth", {"message": str(exc), "path": [str(s) for s in exc.path]})
+    except VerificationError as exc:
+        return _fail(
+            EXIT_VERIFY,
+            "verification",
+            {
+                "invariant": exc.invariant,
+                "round": exc.round_index,
+                "step": exc.step_index,
+                "message": str(exc),
+            },
+        )
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .forms import Form, MonomialPresentation
 from .forms import is_principal  # noqa: F401  (bench/tracing.py counts calls through this name)
@@ -70,8 +70,7 @@ class CenterRecord:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """Phase maxima of a set of centers, how many centers reach each, and
     the center count.  A maximum over an empty class is 0; transverse
     centers count towards ``center_count`` only.

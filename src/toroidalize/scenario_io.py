@@ -27,7 +27,6 @@ from typing import Callable
 from . import forms
 from .descent import TEMPLATES, ClassifiedLeaf, own_branches
 from .forms import Form, FormError, MonomialPresentation, check_chart
-from .invariants import Snapshot
 from .principalize import Scenario, TraceStep, make_scenario
 from .transform import Center
 
@@ -550,16 +549,6 @@ def signature_to_doc(signature: tuple) -> dict:
     return {"class": signature[1], "columns": [list(col) for col in signature[2]]}
 
 
-def snapshot_to_doc(s: Snapshot) -> dict:
-    return {
-        "one_point_max": s.one_point_max,
-        "one_point_achievers": s.one_point_achievers,
-        "two_point_max": s.two_point_max,
-        "two_point_achievers": s.two_point_achievers,
-        "center_count": s.center_count,
-    }
-
-
 def step_to_doc(index: int, step: TraceStep) -> dict:
     return {
         "index": index,
@@ -578,8 +567,8 @@ def step_to_doc(index: int, step: TraceStep) -> dict:
             }
             for e in step.descendants
         ],
-        "before": snapshot_to_doc(step.before),
-        "after": snapshot_to_doc(step.after),
+        "before": step.before._asdict(),
+        "after": step.after._asdict(),
     }
 
 
@@ -659,4 +648,7 @@ def load_trace(path: str | Path) -> dict:
 
 
 def write_trace(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(canonical_dumps(doc))
+    try:
+        Path(path).write_text(canonical_dumps(doc))
+    except OSError as exc:
+        raise SchemaError("$", f"cannot write trace file: {exc}") from exc

@@ -94,6 +94,17 @@ def test_deeply_nested_json_exits_2(verb, tmp_path, capsys):
     assert capsys.readouterr().out == reference_dumps(expected)
 
 
+@pytest.mark.parametrize("verb, what", [("run", "scenario"), ("verify", "trace"), ("oracle", "scenario")])
+def test_missing_input_file_exits_2(verb, what, tmp_path, capsys):
+    assert main([verb, str(tmp_path / "missing.json")]) == 2
+    out = capsys.readouterr().out
+    message = json.loads(out)["detail"]["message"]
+    # the rest of the message is the operating system's errno text
+    assert message.startswith(f"cannot read {what} file: ")
+    detail = {"path": "$", "message": message}
+    assert out == reference_dumps({"status": "error", "kind": "schema", "exit": 2, "detail": detail})
+
+
 def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "t.json"
     assert main(["run", str(FIXTURES / "euclid.json"), "-o", str(out)]) == 2
@@ -207,8 +218,24 @@ def _one_chart(on_divisor, presentation, **extra):
                 "message": "the full divisor cannot have fewer branches than the chart divisor",
             },
         ),
+        (
+            _one_chart(True, {"chart": 1, "form": "monomial_pair", "u": [2, 0, 1], "v": [0, 3, 1]}, n=2),
+            2, "schema",
+            {"path": "$.presentations", "message": "presentation 0 needs 3 coordinates but n = 2"},
+        ),
+        (
+            _one_chart(
+                True, {"chart": 1, "form": "monomial_pair", "u": [2, 0], "v": [0, 3]},
+                followup_points=[{"charts": [{"q_in_divisor": True}, {"q_in_divisor": True}]}],
+            ),
+            2, "schema",
+            {"path": "$.followup_points[0].charts", "message": "expected 1 charts, got 2"},
+        ),
     ],
-    ids=["pair_off_divisor", "transverse_on_divisor", "override_below_chart_branches"],
+    ids=[
+        "pair_off_divisor", "transverse_on_divisor", "override_below_chart_branches",
+        "columns_past_n", "followup_chart_count",
+    ],
 )
 def test_chart_and_branch_errors_report(scenario, code, kind, detail, tmp_path, capsys):
     path = tmp_path / "scenario.json"
@@ -290,6 +317,17 @@ def test_oracle_nonpositive_bound_exits_2(flag, capsys):
         "kind": "bounds",
         "exit": 2,
         "detail": {"message": "search bounds must be positive"},
+    }
+    assert capsys.readouterr().out == reference_dumps(expected)
+
+
+def test_oracle_presentation_past_max_k_exits_2(capsys):
+    assert main(["oracle", str(FIXTURES / "euclid.json"), "--max-k", "1"]) == 2
+    expected = {
+        "status": "error",
+        "kind": "bounds",
+        "exit": 2,
+        "detail": {"message": "presentation exceeds max_k=1"},
     }
     assert capsys.readouterr().out == reference_dumps(expected)
 

@@ -20,7 +20,7 @@ from toroidalize.cli import main
 from toroidalize.scenario_io import SchemaError, _load_schema, _validator, _Validator, check_schema
 
 from conftest import reference_dumps
-from test_verify import MUTATIONS, PINNED
+from test_verify import MUTATIONS, PINNED, base_traces, mutated  # noqa: F401  (base_traces is a fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -99,9 +99,8 @@ def euclid_trace(documents):
 
 
 @pytest.mark.parametrize("edit", sorted(MUTATIONS), ids=str)
-def test_verify_mutations(euclid_trace, edit):
-    doc = copy.deepcopy(euclid_trace)
-    MUTATIONS[edit](doc)
+def test_verify_mutations(base_traces, edit):
+    doc = mutated(base_traces, edit)
     assert_same(doc, "trace.schema.json")
     assert_same(doc["scenario"], "scenario.schema.json")
 

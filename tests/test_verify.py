@@ -21,11 +21,48 @@ from conftest import reference_dumps
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+# euclid's pair on the first of two charts; the second carries nothing
+TWO_CHARTS = {
+    "version": 1, "n": 3,
+    "charts": [{"q_in_divisor": True}, {"q_in_divisor": True}],
+    "presentations": [{"chart": 1, "form": "monomial_pair", "u": [2, 0], "v": [0, 3]}],
+}
+
+
 @pytest.fixture(scope="module")
-def base_trace(tmp_path_factory):
-    out = tmp_path_factory.mktemp("verify") / "euclid.trace.json"
-    assert main(["run", str(FIXTURES / "euclid.json"), "-o", str(out)]) == 0
-    return json.loads(out.read_text())
+def base_traces(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("verify")
+    (tmp / "two_charts.json").write_text(json.dumps(TWO_CHARTS))
+    scenarios = {
+        "euclid": FIXTURES / "euclid.json",
+        "mixed_charts": FIXTURES / "mixed_charts.json",
+        "two_charts": tmp / "two_charts.json",
+    }
+    traces = {}
+    for name, scenario in scenarios.items():
+        out = tmp / f"{name}.trace.json"
+        assert main(["run", str(scenario), "-o", str(out)]) == 0
+        traces[name] = json.loads(out.read_text())
+    return traces
+
+
+@pytest.fixture(scope="module")
+def base_trace(base_traces):
+    return base_traces["euclid"]
+
+
+def _steps(d):
+    return d["rounds"][0]["steps"]
+
+
+def _append_empty_step(d):
+    # a step that blows up nothing, after which nothing changed
+    last = _steps(d)[-1]
+    _steps(d).append({
+        **copy.deepcopy(last), "index": len(_steps(d)), "parents": [], "descendants": [],
+        "before": dict(last["after"]), "after": dict(last["after"]), "value": 0,
+    })
+    d["summary"]["steps"] += 1
 
 
 MUTATIONS = {
@@ -48,48 +85,112 @@ MUTATIONS = {
     "embedded_scenario_version": lambda d: d["scenario"].__setitem__("version", 2),
     "embedded_scenario_unknown_key": lambda d: d["scenario"].__setitem__("colour", "red"),
     "embedded_scenario_name_type": lambda d: d["scenario"].__setitem__("name", 5),
+    "chart_order_fell": lambda d: _steps(d)[5].__setitem__("chart", 1),
+    "phase_against_chart": lambda d: _steps(d)[0].__setitem__("phase", "transverse"),
+    "one_point_after_two_point": lambda d: _steps(d)[1].__setitem__("phase", "one_point"),
+    "transverse_locus_kept": lambda d: _steps(d)[3]["after"].__setitem__(
+        "center_count", _steps(d)[3]["before"]["center_count"]
+    ),
+    "principal_parent": lambda d: _steps(d)[1]["parents"][0].__setitem__("id", 2),
+    "pair_produced_nested": lambda d: _steps(d)[0]["descendants"][1].__setitem__(
+        "presentation", {"form": "nested", "chart": 1, "u": [2, 2], "v": [1, 1]}
+    ),
+    "leaf_not_principal": lambda d: d["rounds"][0]["leaves"][0].__setitem__(
+        "presentation", {"form": "monomial_pair", "chart": 1, "u": [2, 0], "v": [0, 3]}
+    ),
+    "unused_chart_flag_flipped": lambda d: d["rounds"][0]["charts"].__setitem__(1, False),
+    # euclid's u = (2, 0) recorded as (3, 0)
+    "initial_exponent_raised": lambda d: d["rounds"][0]["initial"][0]["presentation"]["u"].__setitem__(0, 3),
+    "embedded_scenario_longer": lambda d: d["scenario"]["presentations"][0].__setitem__("v", [0, 7]),
+    "empty_step_appended": _append_empty_step,
+}
+
+# the trace each mutation edits, when it is not euclid's
+BASE = {
+    "chart_order_fell": "mixed_charts",
+    "transverse_locus_kept": "mixed_charts",
+    "unused_chart_flag_flipped": "two_charts",
+}
+
+
+def mutated(base_traces, name):
+    doc = copy.deepcopy(base_traces[BASE.get(name, "euclid")])
+    MUTATIONS[name](doc)
+    return doc
+
+
+# every mutation but this one also exits 5 through the CLI; this one fails
+# the trace schema (a step needs a parent), which ``verify`` reports first
+SCHEMA_FIRST = {
+    "empty_step_appended": {
+        "path": "$.rounds[0].steps[3].parents",
+        "message": "[] should be non-empty",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_mutation_rejected(base_trace, name, tmp_path):
-    doc = copy.deepcopy(base_trace)
-    MUTATIONS[name](doc)
+def test_mutation_rejected(base_traces, name, tmp_path, capsys):
+    doc = mutated(base_traces, name)
     with pytest.raises(VerificationError):
         verify_trace(doc)
     path = tmp_path / f"{name}.trace.json"
     path.write_text(canonical_dumps(doc))
-    assert main(["verify", str(path)]) == 5
+    capsys.readouterr()
+    if name in SCHEMA_FIRST:
+        assert main(["verify", str(path)]) == 2
+        expected = {"status": "error", "kind": "schema", "exit": 2, "detail": SCHEMA_FIRST[name]}
+        assert capsys.readouterr().out == reference_dumps(expected)
+    else:
+        assert main(["verify", str(path)]) == 5
 
 
 def test_pristine_trace_verifies(base_trace):
     verify_trace(copy.deepcopy(base_trace))
 
 
+NAMED = [
+    # only the replay's whole-round comparison or the embedded scenario's
+    # schema check rejects these; the recorded checks pass on them
+    ("round_index_lie", "replay", 0, None, "round document differs"),
+    ("embedded_scenario_version", "embedded scenario", 0, None, "$.version"),
+    ("embedded_scenario_unknown_key", "embedded scenario", 0, None, "'colour' was unexpected"),
+    ("embedded_scenario_name_type", "embedded scenario", 0, None, "$.name"),
+    ("unused_chart_flag_flipped", "replay", 0, None, "chart flags differ"),
+    ("initial_exponent_raised", "replay", 0, None, "initial presentations differ"),
+    ("embedded_scenario_longer", "replay", 0, None, "replay needs more steps than recorded"),
+    ("empty_step_appended", "replay", 0, None, "recorded 4 steps, replay took 3"),
+    # one row per recorded check that nothing else reaches
+    ("chart_order_fell", "chart order", 0, 5, "chart fell from 3 to 1"),
+    ("phase_against_chart", "phase", 0, 0, "phase transverse contradicts chart 1's base point"),
+    ("one_point_after_two_point", "phase order", 0, 1, "1-point phase resumed after 2-point phase"),
+    ("transverse_locus_kept", "strict descent", 0, 3, "transverse step did not shrink the locus"),
+    ("principal_parent", "persistence", 0, 1, "principal presentation 2 blown up again"),
+    ("pair_produced_nested", "closure", 0, 0, "monomial_pair produced nested"),
+    ("leaf_not_principal", "final emptiness", 0, None, "leaf 4 is not principal"),
+]
+
+
 @pytest.mark.parametrize(
-    "name, invariant",
-    [
-        ("round_index_lie", "replay"),
-        ("embedded_scenario_version", "embedded scenario"),
-        ("embedded_scenario_unknown_key", "embedded scenario"),
-        ("embedded_scenario_name_type", "embedded scenario"),
-    ],
+    "name, invariant, round_index, step_index, message",
+    NAMED,
+    ids=[f"{name}-{invariant}" for name, invariant, *_ in NAMED],
 )
-def test_replay_side_mutation_names_its_invariant(base_trace, name, invariant):
-    # the recorded checks pass on these; only the replay's whole-round
-    # comparison or the embedded scenario's schema check rejects them
-    doc = copy.deepcopy(base_trace)
-    MUTATIONS[name](doc)
+def test_replay_side_mutation_names_its_invariant(
+    base_traces, name, invariant, round_index, step_index, message
+):
     with pytest.raises(VerificationError) as info:
-        verify_trace(doc)
-    assert (info.value.invariant, info.value.round_index, info.value.step_index) == (invariant, 0, None)
+        verify_trace(mutated(base_traces, name))
+    assert (info.value.invariant, info.value.round_index, info.value.step_index) == (
+        invariant, round_index, step_index,
+    )
+    assert message in str(info.value)
 
 
-def test_flipped_chart_flags_fail_well_formedness(base_trace):
+def test_flipped_chart_flags_fail_well_formedness(base_traces):
     # the recorded presentations no longer fit their charts' flags: the
     # chart check at the input boundary rejects them before any step check
-    doc = copy.deepcopy(base_trace)
-    MUTATIONS["chart_flags_flipped"](doc)
+    doc = mutated(base_traces, "chart_flags_flipped")
     with pytest.raises(VerificationError) as info:
         verify_trace(doc)
     assert info.value.invariant == "well-formedness"
