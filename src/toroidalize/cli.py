@@ -211,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         detail = {"message": str(exc), "round": exc.round_index}
         if exc.stage == "budget":
             return _fail(EXIT_BUDGET, "budget", {**detail, "steps": exc.__cause__.steps})
-        if exc.stage == "classification":
-            return _fail(EXIT_CLASSIFY, "classification", detail)
-        detail["message"] = f"reseeding round {exc.round_index}: {exc}"
-        return _fail(EXIT_SCHEMA, "schema", detail)
+        return _fail(EXIT_CLASSIFY, "classification", detail)
     except BoundExceededError as exc:
         return _fail(EXIT_BUDGET, "depth", {"message": str(exc), "path": [str(s) for s in exc.path]})
     except VerificationError as exc:

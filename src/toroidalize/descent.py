@@ -23,8 +23,8 @@ template, and the next round starts from it unchanged (``reseed``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .forms import (
     DIVISORIAL_FORMS,
@@ -78,8 +78,7 @@ class SurfaceChart(Enum):
     INTERIOR = "interior"
 
 
-@dataclass(frozen=True)
-class LiftedPresentation:
+class LiftedPresentation(NamedTuple):
     """A leaf rewritten at its image point on the blown-up surface.
 
     ``presentation`` is the chart template, or ``transverse`` for a
@@ -155,8 +154,7 @@ def classify_global(l: LiftedPresentation, branches: int) -> MonomialPresentatio
     return monomial_pair(p.u_row + (0,), (0,) * p.k + (1,), p.chart_index)
 
 
-@dataclass(frozen=True)
-class ClassifiedLeaf:
+class ClassifiedLeaf(NamedTuple):
     """A lifted leaf with its global template (None when smooth and off
     the divisor)."""
 

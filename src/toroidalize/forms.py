@@ -30,14 +30,16 @@ fact any rule consumes is whether the shift ``alpha`` is zero, so it is
 kept as a boolean flag.
 
 All types are immutable value objects and safe to share across threads.
+A presentation is a ``NamedTuple`` whose every constructor validates:
+calling the class, ``_make`` and ``_replace`` all run the shape checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 ExponentRow = tuple[int, ...]
 
@@ -85,7 +87,8 @@ def check_chart(form: Form, on_divisor: bool) -> None:
 
 
 def validate_row(row: ExponentRow, *, what: str = "exponent row") -> None:
-    if not isinstance(row, tuple):
+    # A plain tuple only: the value types are tuples too and never rows.
+    if type(row) is not tuple:
         raise FormError(f"{what} must be a tuple, got {type(row).__name__}")
     for e in row:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
@@ -119,8 +122,15 @@ def divides(a: ExponentRow, b: ExponentRow) -> bool:
     return all(x <= y for x, y in zip(a, b, strict=True))
 
 
-@dataclass(frozen=True)
-class MonomialPresentation:
+class _PresentationFields(NamedTuple):
+    form: Form
+    chart_index: int
+    u_row: ExponentRow
+    v_row: ExponentRow
+    alpha_nonzero: bool
+
+
+class MonomialPresentation(_PresentationFields):
     """One local chart presentation of the morphism at a point.
 
     ``u_row`` and ``v_row`` hold the exponents of the divisor variables in
@@ -131,21 +141,22 @@ class MonomialPresentation:
     chart's divisor flag lives in ``Scenario.charts``.
     """
 
-    form: Form
-    chart_index: int
-    u_row: ExponentRow = ()
-    v_row: ExponentRow = ()
-    alpha_nonzero: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.chart_index < 1:
-            raise FormError(f"chart_index must be >= 1, got {self.chart_index}")
-        validate_row(self.u_row, what="u_row")
-        validate_row(self.v_row, what="v_row")
-        if len(self.u_row) != len(self.v_row):
+    def __new__(cls, form, chart_index, u_row=(), v_row=(), alpha_nonzero=False):
+        if chart_index < 1:
+            raise FormError(f"chart_index must be >= 1, got {chart_index}")
+        validate_row(u_row, what="u_row")
+        validate_row(v_row, what="v_row")
+        if len(u_row) != len(v_row):
             raise FormError("u_row and v_row must have equal length")
-        validator = _VALIDATORS[self.form]
-        validator(self)
+        self = tuple.__new__(cls, (form, chart_index, u_row, v_row, alpha_nonzero))
+        _VALIDATORS[form](self)
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # ``_replace`` builds its result here too
+        return cls(*fields)
 
     @property
     def k(self) -> int:

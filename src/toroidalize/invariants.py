@@ -23,7 +23,6 @@ signature's class (``transverse``, ``free``, ``pair``) fixes the phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -62,8 +61,7 @@ def centers(p: MonomialPresentation) -> Iterator[tuple[Center, tuple, int]]:
                     yield Center(i, j), (chart, "pair", (col_i, col_j)), d_i * e_j
 
 
-@dataclass(frozen=True)
-class CenterRecord:
+class CenterRecord(NamedTuple):
     presentation_id: int
     center: Center
     signature: tuple

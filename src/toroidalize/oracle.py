@@ -22,8 +22,7 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .forms import Form, MonomialPresentation
 
@@ -69,15 +68,20 @@ def oracle_rank(u_row: Iterable[int], v_row: Iterable[int]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class SearchBound:
-    max_entry: int
-    max_k: int
-    max_depth: int
+class SearchBound(NamedTuple("_SearchBound", [("max_entry", int), ("max_k", int), ("max_depth", int)])):
+    """The search's limits; calling the class, ``_make`` and ``_replace``
+    all refuse a bound below 1."""
 
-    def __post_init__(self) -> None:
-        if min(self.max_entry, self.max_k, self.max_depth) < 1:
+    __slots__ = ()
+
+    def __new__(cls, max_entry, max_k, max_depth):
+        if min(max_entry, max_k, max_depth) < 1:
             raise ValueError("search bounds must be positive")
+        return tuple.__new__(cls, (max_entry, max_k, max_depth))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class RawPoint(NamedTuple):
@@ -217,24 +221,21 @@ class _Tables:
         return tuple(sorted(set(out)))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     min_depth: int
     max_depth: int
     states_explored: int
 
 
-@dataclass(slots=True)
 class _Frame:
     """A state whose children are being searched, with the path that led to
     it and the (min, max) path lengths of the children searched so far."""
 
-    state: tuple[int, ...]
-    depth: int
-    path: tuple | None
-    signatures: Iterator[int]
-    lo: int | None = None
-    hi: int | None = None
+    __slots__ = ("state", "depth", "path", "signatures", "lo", "hi")
+
+    def __init__(self, state, depth, path, signatures) -> None:
+        self.state, self.depth, self.path, self.signatures = state, depth, path, signatures
+        self.lo = self.hi = None
 
 
 def _steps(path: tuple | None, signatures: list[tuple]) -> tuple:
@@ -274,6 +275,7 @@ def exhaustive_search(
     tables = _Tables()
     root = tables.state(pt for pt in converted if not _raw_principal(pt))
     carried, signature_of, apply = tables.carried, tables.signatures, tables.apply
+    max_depth = bound.max_depth
 
     memo: dict[tuple[int, ...], tuple[int, int]] = {}
     explored = 0
@@ -283,7 +285,7 @@ def exhaustive_search(
         # The memo only holds states with centers, so it is read first.
         found = memo.get(state)
         if found is not None:
-            if depth + found[1] > bound.max_depth:
+            if depth + found[1] > max_depth:
                 raise BoundExceededError(_steps(path, signature_of) + (f"... +{found[1]} more steps",))
         else:
             signatures: set[int] = set()
@@ -295,7 +297,7 @@ def exhaustive_search(
                 # Ordered by the signature tuples, not their ids, so the
                 # search visits states in an order independent of interning.
                 ordered = sorted(signatures, key=signature_of.__getitem__)
-                if depth >= bound.max_depth:
+                if depth >= max_depth:
                     raise BoundExceededError(_steps(path, signature_of) + (signature_of[ordered[0]],))
                 explored += 1
                 stack.append(_Frame(state, depth, path, iter(ordered)))

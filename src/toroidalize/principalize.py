@@ -29,9 +29,9 @@ asks for it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .forms import (
     DIVISORIAL_FORMS,
@@ -67,8 +67,7 @@ class Phase(Enum):
 _PHASE_OF_CLASS = {"transverse": Phase.TRANSVERSE, "free": Phase.ONE_POINT, "pair": Phase.TWO_POINT}
 
 
-@dataclass(frozen=True, slots=True)
-class Entry:
+class Entry(NamedTuple):
     """One presentation of a scenario, under its stable id.
 
     ``active`` means non-principal.  A descendant names its parent and
@@ -82,8 +81,7 @@ class Entry:
     point: ChartPoint | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One step: the signature it targeted, at its value, the parents
     blown up through it, the entries they became (each parent's three in
     :class:`ChartPoint` order) and the chart's snapshot around it.  Its
@@ -118,7 +116,8 @@ class Scenario:
     an empty history.  :func:`step` trusts its own output and checks only
     the descendants it creates.
 
-    A scenario is immutable and shares nothing mutable with another one.
+    A scenario is immutable (assigning or deleting an attribute raises
+    ``AttributeError``) and shares nothing mutable with another one.
     Its history is a chain ``(parent_chain, step)`` ending in ``()``, so a
     successor extends its parent's chain without copying it.  ``history``
     and ``entries`` are built from that chain on first access; ``entries``
@@ -162,7 +161,10 @@ class Scenario:
         return new
 
     def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def history(self) -> tuple[TraceStep, ...]:

@@ -1,10 +1,11 @@
 """Scenario and trace (de)serialization with canonical JSON.
 
 Scenario files and traces are plain JSON validated against the schemas
-packaged in ``toroidalize/schemas``.  The validator is this module's own: it
-implements the Draft 2020-12 keywords those two schemas use, refuses any
-other, and reports the path and message that jsonschema's
-``Draft202012Validator`` would, so the package has no runtime dependency.
+packaged in ``toroidalize/schemas``, read from the directory next to this
+module.  The validator is this module's own: it implements the Draft
+2020-12 keywords those two schemas use, refuses any other, and reports the
+path and message that jsonschema's ``Draft202012Validator`` would, so the
+package has no runtime dependency.
 
 Emission is canonical: sorted keys, two-space indent, trailing newline, no
 timestamps, so identical runs produce byte-identical files.
@@ -17,12 +18,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import forms
 from .descent import TEMPLATES, ClassifiedLeaf, own_branches
@@ -40,8 +39,7 @@ class SchemaError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class RoundPlan:
+class RoundPlan(NamedTuple):
     """Classification data for one base-point round."""
 
     charts: tuple[bool, ...]
@@ -337,8 +335,7 @@ class _Validator:
 
 
 def _load_schema(name: str) -> dict:
-    text = resources.files("toroidalize.schemas").joinpath(name).read_text()
-    return json.loads(text)
+    return json.loads((Path(__file__).parent / "schemas" / name).read_text())
 
 
 @cache

@@ -20,8 +20,8 @@ them from any active worklist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .forms import (
     Form,
@@ -42,25 +42,29 @@ class PermissibilityError(ValueError):
     """The requested center is not contained in the non-principal locus."""
 
 
-@dataclass(frozen=True)
-class Center:
+class Center(NamedTuple("_Center", [("i", int), ("j", "int | None")])):
     """A permissible codimension-2 center, named by its two local coordinates.
 
     Indices are 1-based positions into the presentation's divisor columns.
     ``Center(i)`` is the free center x_i = y = 0, y the extra coordinate
     (on a transverse presentation ``Center(1)`` is x_1 = x_2 = 0).
     ``Center(i, j)`` is the pair center x_i = x_j = 0, oriented so that u
-    dominates v at ``i`` and v dominates u at ``j``.
+    dominates v at ``i`` and v dominates u at ``j``.  Calling the class,
+    ``_make`` and ``_replace`` all check the indices.
     """
 
-    i: int
-    j: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.i < 1:
+    def __new__(cls, i, j=None):
+        if i < 1:
             raise FormError("center index must be >= 1")
-        if self.j is not None and (self.j < 1 or self.j == self.i):
+        if j is not None and (j < 1 or j == i):
             raise FormError("pair center needs two distinct indices")
+        return tuple.__new__(cls, (i, j))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class ChartPoint(Enum):
@@ -69,8 +73,7 @@ class ChartPoint(Enum):
     B_ORIGIN = "b_origin"
 
 
-@dataclass(frozen=True)
-class DescendantSet:
+class DescendantSet(NamedTuple):
     """A blowup's three children, in :class:`ChartPoint` order."""
 
     descendants: tuple[MonomialPresentation, MonomialPresentation, MonomialPresentation]

@@ -45,8 +45,8 @@ from .scenario_io import (
 
 class RoundError(RuntimeError):
     """Round ``round_index`` of :func:`run_rounds` failed at ``stage``
-    (``budget``, ``classification`` or ``reseed``).  The engine error is
-    the ``__cause__`` and lends its message."""
+    (``budget`` or ``classification``).  The engine error is the
+    ``__cause__`` and lends its message."""
 
     def __init__(self, round_index: int, stage: str, cause: Exception) -> None:
         super().__init__(str(cause))
@@ -64,16 +64,13 @@ def run_rounds(
 
     Round i may take ``budgets[i]`` steps, or :func:`default_budget` of its
     scenario when ``budgets`` is None.  Its leaves reseed round i + 1 only
-    when the next document is asked for.
+    when the next document is asked for; ``make_scenario`` accepts every
+    reseed, whose templates need no more coordinates than their leaves.
     """
     current = scenario
     for round_index, plan in enumerate(plans):
         if round_index:
-            presentations = reseed(leaves, final, plan.charts)
-            try:
-                current = make_scenario(current.n, plan.charts, presentations)
-            except FormError as exc:
-                raise RoundError(round_index, "reseed", exc) from exc
+            current = make_scenario(current.n, plan.charts, reseed(leaves, final, plan.charts))
         budget = default_budget(current) if budgets is None else budgets[round_index]
         try:
             final = run(current, budget)

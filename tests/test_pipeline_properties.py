@@ -1,13 +1,16 @@
 """Randomized end-to-end properties: driver vs brute-force oracle, and the
 run -> trace -> verify round trip, on arbitrary mixed scenarios."""
 
+import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toroidalize.descent import classify_scenario, reseed
 from toroidalize.forms import (
+    FormError,
     is_principal,
     monomial_free,
     transverse,
@@ -176,6 +179,49 @@ def test_multi_round_traces_always_verify(scenario, extra_chart):
     ]
     trace = trace_doc(doc, list(run_rounds(scenario, plans)))
     assert_verifies_as_written(trace)
+
+
+def _smallest_n(charts, presentations):
+    for n in range(2, 16):
+        try:
+            make_scenario(n, charts, presentations)
+        except FormError:
+            continue
+        return n
+    raise AssertionError("no ambient dimension below 16 fits")
+
+
+def assert_every_reseed_is_accepted(scenario, rounds):
+    """Run, classify and reseed under every next-round chart pattern, for
+    ``rounds`` further rounds; ``make_scenario`` must accept every reseed
+    at ``scenario.n``.  Classification options are left out: ``reseed``
+    reads only the lifted presentations."""
+    final = run(scenario, default_budget(scenario))
+    leaves = classify_scenario(final)
+    for pattern in itertools.product((False, True), repeat=len(scenario.charts)):
+        following = make_scenario(scenario.n, pattern, reseed(leaves, final, pattern))
+        if rounds > 1:
+            assert_every_reseed_is_accepted(following, rounds - 1)
+
+
+def _alone(p):
+    return make_scenario(p.k + 1, (True,), [p])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        scenarios(),
+        pair_presentations().map(_alone),
+        free_presentations().map(_alone),
+    )
+)
+def test_make_scenario_accepts_every_reseed(scenario):
+    # verify.run_rounds and the CLI have no failure path for a reseed that
+    # make_scenario rejects; this is the property that makes that sound.
+    presentations = [e.presentation for e in scenario.entries]
+    n = _smallest_n(scenario.charts, presentations)
+    assert_every_reseed_is_accepted(make_scenario(n, scenario.charts, presentations), 2)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
