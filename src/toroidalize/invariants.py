@@ -23,7 +23,6 @@ signature's class (``transverse``, ``free``, ``pair``) fixes the phase.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .forms import Form, MonomialPresentation
@@ -62,7 +61,11 @@ def centers(p: MonomialPresentation) -> Iterator[tuple[Center, tuple, int]]:
 
 
 class CenterRecord(NamedTuple):
+    """One center through one presentation, with the presentation itself,
+    so a chart's records also name the presentations still to blow up."""
+
     presentation_id: int
+    presentation: MonomialPresentation
     center: Center
     signature: tuple
     value: int
@@ -99,11 +102,7 @@ def summarize(records: Sequence[CenterRecord]) -> Snapshot:
 def locus_report(
     entries: Iterable[tuple[int, MonomialPresentation]],
 ) -> tuple[CenterRecord, ...]:
-    """Every center through the given (id, presentation) pairs, in
-    (presentation id, center) order: ascending ids, and each presentation's
-    centers in the (i, j) order :func:`centers` yields them."""
-    return tuple(
-        CenterRecord(pid, *center)
-        for pid, p in sorted(entries, key=itemgetter(0))
-        for center in centers(p)
-    )
+    """Every center through the given (id, presentation) pairs: the
+    presentations in the order given, and each one's centers in the (i, j)
+    order :func:`centers` yields them."""
+    return tuple(CenterRecord(pid, p, *center) for pid, p in entries for center in centers(p))

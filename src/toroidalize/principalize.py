@@ -17,10 +17,14 @@ principal leave the worklist immediately but stay in the scenario as
 leaves; the trace records every step with before/after invariant data so
 the run can be re-verified independently.
 
-The cost of a step depends on the targeted chart's active presentations,
-never on the leaves.  A :class:`Scenario` keeps its active entries and
-their centers per chart; a step updates the targeted chart alone and
-enumerates centers only for the descendants it creates.  Each state holds
+The cost of a step depends on the targeted chart's centers, never on the
+leaves.  A :class:`Scenario` keeps one store per chart: the center records
+of its active presentations, in blowup-tree order (the roots as given, each
+blown-up presentation's records replaced in place by those of its active
+descendants).  Every active presentation carries a center, so the records
+name the worklist too.  A step updates the targeted chart alone, enumerates
+centers only for the descendants it creates, and breaks a tie between
+target values by the lowest presentation id.  Each state holds
 its history as an immutable chain of steps that its successor extends in
 constant time; descendants are stored once, in the steps that created
 them, and the flat entry list is built from the chain only when someone
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 from .forms import (
@@ -108,7 +114,8 @@ class Scenario:
 
     ``charts[i-1]`` records whether the base point lies on chart i's piece
     of the target divisor.  Entries keep stable ids; ``active`` mirrors
-    non-principality and only active entries feed the locus.
+    non-principality and only active entries feed the locus, which is kept
+    per chart as center records in blowup-tree order (see :meth:`locus`).
 
     Validation happens once, when input enters the system: constructing a
     ``Scenario`` checks every entry (unique ids below ``next_id``, chart
@@ -134,13 +141,12 @@ class Scenario:
     ) -> None:
         roots, charts = tuple(entries), tuple(charts)
         _validate(n, charts, roots, next_id)
-        active = [e for e in roots if e.active]
+        centers: dict[int, list[CenterRecord]] = {}
+        for r in locus_report((e.id, e.presentation) for e in roots if e.active):
+            centers.setdefault(r.signature[0], []).append(r)
         vars(self).update(
             n=n, charts=charts, next_id=next_id, _roots=roots, _chain=(),
-            _active=_by_chart(active, lambda e: e.presentation.chart_index),
-            _centers=_by_chart(
-                locus_report((e.id, e.presentation) for e in active), lambda r: r.signature[0]
-            ),
+            _centers={chart: tuple(records) for chart, records in centers.items()},
         )
 
     @classmethod
@@ -149,14 +155,13 @@ class Scenario:
         parent: "Scenario",
         next_id: int,
         trace_step: TraceStep,
-        active: dict[int, tuple[Entry, ...]],
         centers: dict[int, tuple[CenterRecord, ...]],
     ) -> "Scenario":
         """The state after one step: trusted, so no entry is re-checked."""
         new = object.__new__(cls)
         vars(new).update(
             n=parent.n, charts=parent.charts, next_id=next_id, _roots=parent._roots,
-            _chain=(parent._chain, trace_step), _active=active, _centers=centers,
+            _chain=(parent._chain, trace_step), _centers=centers,
         )
         return new
 
@@ -194,7 +199,8 @@ class Scenario:
         )
 
     def locus(self) -> tuple[CenterRecord, ...]:
-        """Every center through the active presentations, chart by chart."""
+        """Every center through the active presentations, chart by chart,
+        each chart's in blowup-tree order."""
         return tuple(r for chart in sorted(self._centers) for r in self._centers[chart])
 
 
@@ -214,13 +220,6 @@ def _flatten(roots: tuple[Entry, ...], steps: tuple[TraceStep, ...]) -> tuple[En
         else:
             pending.extend(reversed(kids))
     return tuple(out)
-
-
-def _by_chart(items, chart_of) -> dict[int, tuple]:
-    grouped: dict[int, list] = {}
-    for item in items:
-        grouped.setdefault(chart_of(item), []).append(item)
-    return {chart: tuple(group) for chart, group in grouped.items()}
 
 
 def _validate(n: int, charts: tuple[bool, ...], roots: tuple[Entry, ...], next_id: int) -> None:
@@ -274,12 +273,13 @@ def make_scenario(
 
 
 def _select_target(records: tuple[CenterRecord, ...]) -> CenterRecord:
-    """The first record at the largest value among the free centers, or
-    among all when none is free: off the divisor all are transverse (value
-    0) and on it none is, so 1-point steps come before 2-point ones."""
+    """The record at the largest value among the free centers, or among
+    all when none is free (off the divisor all are transverse, value 0, and
+    on it none is, so 1-point steps come before 2-point ones).  Ties go to
+    the lowest presentation id, then to its first center."""
     pool = [r for r in records if r.signature[1] == "free"] or records
     best = max(r.value for r in pool)
-    return next(r for r in pool if r.value == best)
+    return min((r for r in pool if r.value == best), key=attrgetter("presentation_id"))
 
 
 def step(scenario: Scenario) -> Scenario:
@@ -296,62 +296,51 @@ def step(scenario: Scenario) -> Scenario:
         raise NoCenterError("every presentation is already principal")
     chart = min(centers)
     records = centers[chart]
-    active = scenario._active[chart]
     target = _select_target(records)
-
-    # Records run in (id, center) order; read backwards, each presentation
-    # keeps the lowest of its centers that carry the target's signature.
-    matched = {
-        r.presentation_id: r.center for r in reversed(records) if r.signature == target.signature
-    }
+    signature = target.signature
 
     n, charts = scenario.n, scenario.charts
     next_id = scenario.next_id
     parents: list[tuple[int, Center]] = []
     descendants: list[Entry] = []
-    still_active: list[Entry] = []
-    born_active: list[tuple[int, MonomialPresentation]] = []
-    for entry in active:
-        center = matched.get(entry.id)
-        if center is None:
-            still_active.append(entry)
+    new_records: list[CenterRecord] = []
+    for pid, group in groupby(records, attrgetter("presentation_id")):
+        group = tuple(group)
+        # A presentation is blown up at the first of its centers that carries
+        # the target's signature; one without such a center keeps its records.
+        for r in group:
+            if r.signature == signature:
+                break
+        else:
+            new_records.extend(group)
             continue
-        parents.append((entry.id, center))
-        children = blowup(entry.presentation, center).descendants
+        parents.append((pid, r.center))
+        born_active: list[tuple[int, MonomialPresentation]] = []
+        children = blowup(r.presentation, r.center).descendants
         for point, child in zip(ChartPoint, children, strict=True):
             principal = is_principal(child)
-            new_entry = Entry(next_id, child, not principal, entry.id, point)
+            new_entry = Entry(next_id, child, not principal, pid, point)
             _check_entry(new_entry, principal, n, charts)
             descendants.append(new_entry)
             if not principal:
-                still_active.append(new_entry)
                 born_active.append((next_id, child))
             next_id += 1
+        new_records.extend(locus_report(born_active))
 
-    # Untouched presentations keep their centers.  New ids exceed every
-    # old one, so the new records sort after the kept ones.
-    kept = tuple(r for r in records if r.presentation_id not in matched)
-    new_records = kept + locus_report(born_active)
     trace_step = TraceStep(
-        signature=target.signature,
+        signature=signature,
         value=target.value,
         parents=tuple(parents),
         descendants=tuple(descendants),
         before=summarize(records),
         after=summarize(new_records),
     )
-    new_active = dict(scenario._active)
     new_centers = dict(centers)
-    _put(new_active, chart, tuple(still_active))
-    _put(new_centers, chart, new_records)
-    return Scenario._successor(scenario, next_id, trace_step, new_active, new_centers)
-
-
-def _put(by_chart: dict, chart: int, items: tuple) -> None:
-    if items:
-        by_chart[chart] = items
+    if new_records:
+        new_centers[chart] = tuple(new_records)
     else:
-        by_chart.pop(chart, None)
+        del new_centers[chart]
+    return Scenario._successor(scenario, next_id, trace_step, new_centers)
 
 
 # Runs that need more steps than this are refused rather than attempted.
@@ -380,16 +369,15 @@ def step_lower_bound(scenario: Scenario) -> int:
       non-principal while an e_j is left; ``B_ORIGIN`` mirrors this with
       ceil(sum d / max e).
     """
+    presentations = {r.presentation_id: r.presentation for r in scenario.locus()}
     bound = 0
-    for entries in scenario._active.values():
-        for entry in entries:
-            p = entry.presentation
-            d = [a - b for a, b in p.columns() if a > b]
-            if p.form is Form.MONOMIAL_FREE:
-                bound = max(bound, sum(d))
-            elif p.form is Form.MONOMIAL_PAIR:
-                e = [b - a for a, b in p.columns() if b > a]
-                bound = max(bound, -(-sum(e) // max(d)), -(-sum(d) // max(e)))
+    for p in presentations.values():
+        d = [a - b for a, b in p.columns() if a > b]
+        if p.form is Form.MONOMIAL_FREE:
+            bound = max(bound, sum(d))
+        elif p.form is Form.MONOMIAL_PAIR:
+            e = [b - a for a, b in p.columns() if b > a]
+            bound = max(bound, -(-sum(e) // max(d)), -(-sum(d) // max(e)))
     return bound
 
 

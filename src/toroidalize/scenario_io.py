@@ -483,7 +483,7 @@ def _plan_from_doc(charts: tuple[bool, ...], doc: dict | None) -> RoundPlan:
         charts=charts,
         extra_branch_charts=frozenset(doc.get("extra_branch_charts", [])),
         branch_overrides=tuple(
-            sorted((int(k), v) for k, v in doc.get("branch_overrides", {}).items())
+            sorted((int(k), int(v)) for k, v in doc.get("branch_overrides", {}).items())
         ),
     )
 

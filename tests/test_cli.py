@@ -62,6 +62,14 @@ def test_text_format(tmp_path, capsys):
     assert "two_point" in rendered
 
 
+def test_text_format_renders_transverse_charts(tmp_path, capsys):
+    code, _ = run_fixture("mixed_charts.json", tmp_path, extra=["--format", "text"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  p1 [active] chart 2: transverse" in lines
+    assert "    p1 --b_origin--> p14 [principal] transverse_product" in lines
+
+
 def test_malformed_scenario_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -267,6 +275,22 @@ def test_integral_float_chart_runs_as_its_int(tmp_path, capsys):
     # json.dumps tells 1.0 from 1, which == does not
     assert json.dumps(traces[1]["rounds"]) == json.dumps(traces[0]["rounds"])
     assert reports[1] == reports[0]
+
+
+def test_integral_float_branch_override_runs_as_its_int(tmp_path, capsys):
+    # An override value spelled 2.0 is the int 2, in the trace as elsewhere.
+    doc = json.loads((FIXTURES / "euclid.json").read_text())
+    rounds = []
+    for name, value in (("int", 2), ("float", 2.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "classification": {"branch_overrides": {"5": value}}}))
+        out = tmp_path / f"{name}.trace.json"
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        rounds.append(json.dumps(json.loads(out.read_text())["rounds"]))
+    capsys.readouterr()
+    # json.dumps tells 2.0 from 2, which == does not
+    assert rounds[1] == rounds[0]
 
 
 @pytest.fixture(scope="module")

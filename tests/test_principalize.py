@@ -1,8 +1,10 @@
+import re
 from collections import Counter
 
 import pytest
 
 from toroidalize import principalize
+from toroidalize.descent import reseed
 from toroidalize.forms import (
     Form,
     FormError,
@@ -265,6 +267,70 @@ def test_scenario_validation():
             entries=(Entry(0, monomial_pair((2, 0), (0, 3), 1), active=False),),
             next_id=1,
         )
+
+
+EUCLID_PAIR = monomial_pair((2, 0), (0, 3), 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Scenario(1, (True,), (Entry(0, EUCLID_PAIR, True),), 1),
+         "ambient dimension must be >= 2, got 1"),
+        (lambda: Scenario(3, (), (Entry(0, EUCLID_PAIR, True),), 1),
+         "scenario needs at least one chart"),
+        (lambda: Scenario(3, (True,), (Entry(0, EUCLID_PAIR, True), Entry(0, EUCLID_PAIR, True)), 2),
+         "duplicate presentation id 0"),
+        (lambda: Scenario(3, (True,), (Entry(1, EUCLID_PAIR, True),), 1),
+         "next_id must exceed every existing id"),
+        (lambda: Scenario(3, (True,), (Entry(0, monomial_pair((2, 0), (0, 3), 2), True),), 1),
+         "presentation 0 references missing chart 2"),
+        (lambda: reseed([], euclid_scenario(), (True, True)),
+         "next round must describe the same charts"),
+    ],
+    ids=["n_below_2", "no_charts", "duplicate_id", "id_past_next_id", "missing_chart", "reseed_chart_count"],
+)
+def test_input_checks_name_what_they_refuse(build, message):
+    with pytest.raises(FormError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_history_of_roots_out_of_id_order():
+    # Roots listed out of id order.  Ties between target values go to the
+    # lowest id although the records keep blowup-tree order: 1 and 3 are
+    # blown up before 9, and 16 and 19 before 24, though 9 and 24 come
+    # first in the tree.
+    roots = (
+        Entry(9, monomial_pair((3, 0), (0, 2), 1), True),
+        Entry(4, monomial_free((3,), (1,), 1), True),
+        Entry(1, monomial_pair((2, 0), (0, 3), 1), True),
+        Entry(6, transverse(2), True),
+        Entry(3, monomial_pair((2, 0), (0, 3), 1), True),
+    )
+    final = run(Scenario(4, (True, False), roots, 10), 200)
+    A, G, B = "A_ORIGIN", "A_GENERIC", "B_ORIGIN"
+    expected = [
+        ((1, "free", ((3, 1),)), 2, [(4, (1, None))], [(10, 4, A), (11, 4, G), (12, 4, B)]),
+        ((1, "free", ((3, 2),)), 1, [(10, (1, None))], [(13, 10, A), (14, 10, G), (15, 10, B)]),
+        ((1, "pair", ((2, 0), (0, 3))), 6, [(1, (1, 2)), (3, (1, 2))],
+         [(16, 1, A), (17, 1, G), (18, 1, B), (19, 3, A), (20, 3, G), (21, 3, B)]),
+        ((1, "pair", ((3, 0), (0, 2))), 6, [(9, (1, 2))], [(22, 9, A), (23, 9, G), (24, 9, B)]),
+        ((1, "pair", ((2, 0), (2, 3))), 2, [(16, (1, 2)), (19, (1, 2))],
+         [(25, 16, A), (26, 16, G), (27, 16, B), (28, 19, A), (29, 19, G), (30, 19, B)]),
+        ((1, "pair", ((3, 2), (0, 2))), 2, [(24, (1, 2))], [(31, 24, A), (32, 24, G), (33, 24, B)]),
+        ((1, "pair", ((4, 3), (2, 3))), 1, [(27, (1, 2)), (30, (1, 2))],
+         [(34, 27, A), (35, 27, G), (36, 27, B), (37, 30, A), (38, 30, G), (39, 30, B)]),
+        ((1, "pair", ((3, 2), (3, 4))), 1, [(31, (1, 2))], [(40, 31, A), (41, 31, G), (42, 31, B)]),
+        ((2, "transverse", ()), 0, [(6, (1, None))], [(43, 6, A), (44, 6, G), (45, 6, B)]),
+    ]
+    assert [
+        (
+            s.signature, s.value, [(pid, tuple(c)) for pid, c in s.parents],
+            [(e.id, e.parent, e.point.name) for e in s.descendants],
+        )
+        for s in final.history
+    ] == expected
+    assert final.next_id == 46
 
 
 def test_default_budget_positive_and_sufficient():

@@ -103,6 +103,7 @@ MUTATIONS = {
     "initial_exponent_raised": lambda d: d["rounds"][0]["initial"][0]["presentation"]["u"].__setitem__(0, 3),
     "embedded_scenario_longer": lambda d: d["scenario"]["presentations"][0].__setitem__("v", [0, 7]),
     "empty_step_appended": _append_empty_step,
+    "descendant_cites_non_parent": lambda d: _steps(d)[0]["descendants"][0].__setitem__("parent", 42),
 }
 
 # the trace each mutation edits, when it is not euclid's
@@ -168,6 +169,7 @@ NAMED = [
     ("principal_parent", "persistence", 0, 1, "principal presentation 2 blown up again"),
     ("pair_produced_nested", "closure", 0, 0, "monomial_pair produced nested"),
     ("leaf_not_principal", "final emptiness", 0, None, "leaf 4 is not principal"),
+    ("descendant_cites_non_parent", "identity", 0, 0, "descendant 1 cites a non-parent"),
 ]
 
 
