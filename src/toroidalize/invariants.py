@@ -18,7 +18,7 @@ drop strictly.
 
 Each :class:`CenterRecord` also carries its center's *signature*, the one
 identity under which the driver blows up presentations together; the
-signature's class (``transverse``, ``free``, ``pair``) fixes the phase.
+signature's class (``transverse``, ``free``, ``pair``) is the phase.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class Snapshot(NamedTuple):
 
 
 def summarize(records: Sequence[CenterRecord]) -> Snapshot:
-    """The one place that takes maxima over center values."""
+    """The one place that takes maxima over center values, a step's target value included."""
     one = [r.value for r in records if r.signature[1] == "free"]
     two = [r.value for r in records if r.signature[1] == "pair"]
     one_max = max(one, default=0)

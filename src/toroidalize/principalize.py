@@ -12,8 +12,9 @@ A step targets one center *signature* (chart, center class, the exponent
 columns of the center, as :mod:`~toroidalize.invariants` records it): every
 active presentation in that chart carrying a center with the same signature
 lies on the same codimension-2 subvariety, so all of them are transformed
-together, and the signature's class fixes the phase.  Descendants that come out
-principal leave the worklist immediately but stay in the scenario as
+together: the signature's first field is the step's chart, its class the
+phase, and the target value comes from the chart's snapshot.  Principal
+descendants leave the worklist at once but stay in the scenario as
 leaves; the trace records every step with before/after invariant data so
 the run can be re-verified independently.
 
@@ -33,7 +34,6 @@ asks for it.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
@@ -64,15 +64,6 @@ class StepBudgetExceededError(RuntimeError):
         self.scenario = scenario
 
 
-class Phase(Enum):
-    TRANSVERSE = "transverse"
-    ONE_POINT = "one_point"
-    TWO_POINT = "two_point"
-
-
-_PHASE_OF_CLASS = {"transverse": Phase.TRANSVERSE, "free": Phase.ONE_POINT, "pair": Phase.TWO_POINT}
-
-
 class Entry(NamedTuple):
     """One presentation of a scenario, under its stable id.
 
@@ -88,10 +79,10 @@ class Entry(NamedTuple):
 
 
 class TraceStep(NamedTuple):
-    """One step: the signature it targeted, at its value, the parents
-    blown up through it, the entries they became (each parent's three in
-    :class:`ChartPoint` order) and the chart's snapshot around it.  Its
-    index is its position in ``Scenario.history``."""
+    """One step: the signature it targeted (chart, class, columns), at
+    its value, the parents blown up through it, the entries they became
+    (each parent's three in :class:`ChartPoint` order) and the chart's
+    snapshot around it.  Its index is its position in ``Scenario.history``."""
 
     signature: tuple
     value: int
@@ -99,14 +90,6 @@ class TraceStep(NamedTuple):
     descendants: tuple[Entry, ...]
     before: Snapshot
     after: Snapshot
-
-    @property
-    def chart_index(self) -> int:
-        return self.signature[0]
-
-    @property
-    def phase(self) -> Phase:
-        return _PHASE_OF_CLASS[self.signature[1]]
 
 
 class Scenario:
@@ -272,14 +255,15 @@ def make_scenario(
     return Scenario(n=n, charts=tuple(charts), entries=entries, next_id=len(entries))
 
 
-def _select_target(records: tuple[CenterRecord, ...]) -> CenterRecord:
-    """The record at the largest value among the free centers, or among
-    all when none is free (off the divisor all are transverse, value 0, and
-    on it none is, so 1-point steps come before 2-point ones).  Ties go to
-    the lowest presentation id, then to its first center."""
-    pool = [r for r in records if r.signature[1] == "free"] or records
-    best = max(r.value for r in pool)
-    return min((r for r in pool if r.value == best), key=attrgetter("presentation_id"))
+def _select_target(records: tuple[CenterRecord, ...], before: Snapshot) -> CenterRecord:
+    """The first free record at the 1-point maximum of ``before``, the
+    chart's snapshot, while that is positive (free values are), else the
+    first at its 2-point maximum (0 off the divisor, where all are
+    transverse).  First: the lowest presentation id, then its first center."""
+    if before.one_point_max:
+        records = [r for r in records if r.signature[1] == "free"]
+    best = before.one_point_max or before.two_point_max
+    return min((r for r in records if r.value == best), key=attrgetter("presentation_id"))
 
 
 def step(scenario: Scenario) -> Scenario:
@@ -296,7 +280,8 @@ def step(scenario: Scenario) -> Scenario:
         raise NoCenterError("every presentation is already principal")
     chart = min(centers)
     records = centers[chart]
-    target = _select_target(records)
+    before = summarize(records)
+    target = _select_target(records, before)
     signature = target.signature
 
     n, charts = scenario.n, scenario.charts
@@ -332,7 +317,7 @@ def step(scenario: Scenario) -> Scenario:
         value=target.value,
         parents=tuple(parents),
         descendants=tuple(descendants),
-        before=summarize(records),
+        before=before,
         after=summarize(new_records),
     )
     new_centers = dict(centers)

@@ -446,12 +446,16 @@ _ROW_FORMS = {
 }
 
 
-def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> MonomialPresentation:
-    # The schema admits an integral float such as 1.0 as an integer; read it
-    # as the int it names, for indexing and for the presentation it builds.
-    chart = int(doc["chart"])
+def _chart_from_doc(value, charts: tuple[bool, ...], path: str) -> int:
+    # The schema admits an integral float such as 1.0 as an integer: read the int it names.
+    chart = int(value)
     if chart > len(charts):
-        raise SchemaError(f"{path}.chart", f"chart {chart} not declared (only {len(charts)})")
+        raise SchemaError(path, f"chart {chart} not declared (only {len(charts)})")
+    return chart
+
+
+def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> MonomialPresentation:
+    chart = _chart_from_doc(doc["chart"], charts, f"{path}.chart")
     form = Form(doc["form"])
     try:
         if form is Form.POWER_UNIT:
@@ -477,11 +481,14 @@ def _charts_from_doc(doc) -> tuple[bool, ...]:
     return tuple(entry["q_in_divisor"] for entry in doc)
 
 
-def _plan_from_doc(charts: tuple[bool, ...], doc: dict | None) -> RoundPlan:
-    doc = doc or {}
+def _plan_from_doc(charts: tuple[bool, ...], parent: dict, path: str) -> RoundPlan:
+    doc = parent.get("classification", {})
     return RoundPlan(
         charts=charts,
-        extra_branch_charts=frozenset(doc.get("extra_branch_charts", [])),
+        extra_branch_charts=frozenset(
+            _chart_from_doc(c, charts, f"{path}.classification.extra_branch_charts[{k}]")
+            for k, c in enumerate(doc.get("extra_branch_charts", []))
+        ),
         branch_overrides=tuple(
             sorted((int(k), int(v)) for k, v in doc.get("branch_overrides", {}).items())
         ),
@@ -490,13 +497,13 @@ def _plan_from_doc(charts: tuple[bool, ...], doc: dict | None) -> RoundPlan:
 
 def _read_json(path: str | Path, what: str) -> dict:
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise SchemaError("$", f"cannot read {what} file: {exc}") from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$ (line {exc.lineno})", f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an int past the interpreter's digit limit
+        raise SchemaError("$", f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("$", "invalid JSON: nested deeper than the parser allows") from exc
 
@@ -518,7 +525,7 @@ def scenario_from_doc(doc: dict) -> tuple[Scenario, list[RoundPlan]]:
         scenario = make_scenario(doc["n"], charts, presentations)
     except FormError as exc:
         raise SchemaError("$.presentations", str(exc)) from exc
-    plans = [_plan_from_doc(charts, doc.get("classification"))]
+    plans = [_plan_from_doc(charts, doc, "$")]
     for i, followup in enumerate(doc.get("followup_points", [])):
         next_charts = _charts_from_doc(followup["charts"])
         if len(next_charts) != len(charts):
@@ -526,7 +533,7 @@ def scenario_from_doc(doc: dict) -> tuple[Scenario, list[RoundPlan]]:
                 f"$.followup_points[{i}].charts",
                 f"expected {len(charts)} charts, got {len(next_charts)}",
             )
-        plans.append(_plan_from_doc(next_charts, followup.get("classification")))
+        plans.append(_plan_from_doc(next_charts, followup, f"$.followup_points[{i}]"))
     return scenario, plans
 
 
@@ -546,11 +553,15 @@ def signature_to_doc(signature: tuple) -> dict:
     return {"class": signature[1], "columns": [list(col) for col in signature[2]]}
 
 
+# The trace's name for the phase of a step, by its signature's class.
+_PHASE_NAMES = {"transverse": "transverse", "free": "one_point", "pair": "two_point"}
+
+
 def step_to_doc(index: int, step: TraceStep) -> dict:
     return {
         "index": index,
-        "chart": step.chart_index,
-        "phase": step.phase.value,
+        "chart": step.signature[0],
+        "phase": _PHASE_NAMES[step.signature[1]],
         "signature": signature_to_doc(step.signature),
         "value": step.value,
         "parents": [{"id": pid, "center": center_to_doc(c)} for pid, c in step.parents],
@@ -647,5 +658,5 @@ def load_trace(path: str | Path) -> dict:
 def write_trace(doc: dict, path: str | Path) -> None:
     try:
         Path(path).write_text(canonical_dumps(doc))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: an int past the digit limit
         raise SchemaError("$", f"cannot write trace file: {exc}") from exc

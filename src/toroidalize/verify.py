@@ -231,9 +231,11 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             active.add(did)
         active -= parent_ids
 
-    leaf_ids = set()
+    leaf_ids: dict[int, None] = {}  # in recorded order
     for leaf in round_doc["leaves"]:
-        leaf_ids.add(leaf["id"])
+        if leaf["id"] in leaf_ids:
+            raise VerificationError(round_index, None, "identity", f"leaf id {leaf['id']} repeated")
+        leaf_ids[leaf["id"]] = None
         p = _presentation(leaf["presentation"], charts, round_index, None)
         if not is_principal(p):
             raise VerificationError(
@@ -243,13 +245,11 @@ def _check_round(round_doc: dict, round_index: int) -> None:
         raise VerificationError(
             round_index, None, "final emptiness", f"active presentations remain: {sorted(active)}"
         )
-    if leaf_ids != {pid for pid, item in ledger.items() if item["principal"]}:
+    if leaf_ids.keys() != {pid for pid, item in ledger.items() if item["principal"]}:
         raise VerificationError(
             round_index, None, "identity", "leaf ids disagree with accumulated principal ids"
         )
-
-    classified = {c["id"] for c in round_doc["classification"]}
-    if classified != leaf_ids:
+    if [c["id"] for c in round_doc["classification"]] != list(leaf_ids):
         raise VerificationError(
             round_index, None, "classification", "classification does not cover the leaves"
         )

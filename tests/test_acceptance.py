@@ -23,7 +23,7 @@ from toroidalize.forms import (
 )
 from toroidalize.invariants import centers
 from toroidalize.oracle import SearchBound, exhaustive_search, oracle_principal, oracle_rank
-from toroidalize.principalize import Phase, make_scenario, run
+from toroidalize.principalize import make_scenario, run
 from toroidalize.scenario_io import canonical_dumps
 from toroidalize.transform import blowup
 
@@ -75,7 +75,7 @@ def test_criterion_1_one_point_exact_drop():
             assert len(final.history) == a - b, (a, b)
             assert [s.value for s in final.history] == list(range(a - b, 0, -1))
             for s in final.history:
-                assert s.phase is Phase.ONE_POINT
+                assert s.signature[1] == "free"
                 assert s.after.one_point_max == s.before.one_point_max - 1
             assert not final.locus()
     report(1, "1-point invariant drops by exactly 1 per step, zero in a-b steps")
@@ -98,7 +98,7 @@ def test_criterion_2_two_point_strict_descent():
         final = run(scenario, search.max_depth)
         assert len(final.history) <= search.max_depth
         for index, s in enumerate(final.history):
-            assert s.phase is Phase.TWO_POINT
+            assert s.signature[1] == "pair"
             for d in s.descendants:
                 if not d.active:
                     continue

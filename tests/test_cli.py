@@ -113,6 +113,55 @@ def test_missing_input_file_exits_2(verb, what, tmp_path, capsys):
     assert out == reference_dumps({"status": "error", "kind": "schema", "exit": 2, "detail": detail})
 
 
+# the interpreter's limit on int <-> decimal string conversion; 0 means none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="no int-string digit limit")
+
+
+def _schema_report(message):
+    detail = {"path": "$", "message": message}
+    return reference_dumps({"status": "error", "kind": "schema", "exit": 2, "detail": detail})
+
+
+@pytest.mark.parametrize("verb", ["run", "verify", "oracle"])
+def test_input_that_is_not_utf8_exits_2(verb, tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([verb, str(path)]) == 2
+    assert capsys.readouterr().out == _schema_report(
+        "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    )
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("verb", ["run", "verify", "oracle"])
+def test_integer_literal_past_the_digit_limit_exits_2(verb, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"version": 1' + "0" * INT_DIGITS + "}")
+    assert main([verb, str(path)]) == 2
+    out = capsys.readouterr().out
+    message = json.loads(out)["detail"]["message"]
+    assert message.startswith("invalid JSON: Exceeds the limit")
+    assert out == _schema_report(message)
+
+
+@needs_digit_limit
+def test_trace_value_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # the entries fit the limit, but the one step's 2-point value 10^(2e) does not
+    e = INT_DIGITS // 2 + 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        _one_chart(True, {"chart": 1, "form": "monomial_pair", "u": [10**e, 0], "v": [0, 10**e]})
+    ))
+    out = tmp_path / "huge.trace.json"
+    assert main(["run", str(path), "-o", str(out)]) == 2
+    report = capsys.readouterr().out
+    message = json.loads(report)["detail"]["message"]
+    assert message.startswith("cannot write trace file: Exceeds the limit")
+    assert report == _schema_report(message)
+    assert not out.exists()
+
+
 def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "t.json"
     assert main(["run", str(FIXTURES / "euclid.json"), "-o", str(out)]) == 2
@@ -232,6 +281,7 @@ def _one_chart(on_divisor, presentation, **extra):
             {"path": "$.presentations", "message": "presentation 0 needs 3 coordinates but n = 2"},
         ),
         (
+            # 2.0 is read as the int 2, as a presentation's chart is
             _one_chart(
                 True, {"chart": 1, "form": "monomial_pair", "u": [2, 0], "v": [0, 3]},
                 followup_points=[{"charts": [{"q_in_divisor": True}, {"q_in_divisor": True}]}],
@@ -239,10 +289,34 @@ def _one_chart(on_divisor, presentation, **extra):
             2, "schema",
             {"path": "$.followup_points[0].charts", "message": "expected 1 charts, got 2"},
         ),
+        (
+            _one_chart(
+                True, {"chart": 1, "form": "monomial_pair", "u": [2, 0], "v": [0, 3]},
+                classification={"extra_branch_charts": [5]},
+            ),
+            2, "schema",
+            {"path": "$.classification.extra_branch_charts[0]", "message": "chart 5 not declared (only 1)"},
+        ),
+        (
+            # 2.0 is read as the int 2, as a presentation's chart is
+            _one_chart(
+                True, {"chart": 1, "form": "monomial_pair", "u": [2, 0], "v": [0, 3]},
+                followup_points=[{
+                    "charts": [{"q_in_divisor": True}],
+                    "classification": {"extra_branch_charts": [1, 2.0]},
+                }],
+            ),
+            2, "schema",
+            {
+                "path": "$.followup_points[0].classification.extra_branch_charts[1]",
+                "message": "chart 2 not declared (only 1)",
+            },
+        ),
     ],
     ids=[
         "pair_off_divisor", "transverse_on_divisor", "override_below_chart_branches",
-        "columns_past_n", "followup_chart_count",
+        "columns_past_n", "followup_chart_count", "extra_branch_chart_undeclared",
+        "followup_extra_branch_chart_undeclared",
     ],
 )
 def test_chart_and_branch_errors_report(scenario, code, kind, detail, tmp_path, capsys):

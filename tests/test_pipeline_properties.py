@@ -2,6 +2,7 @@
 run -> trace -> verify round trip, on arbitrary mixed scenarios."""
 
 import itertools
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,14 @@ from toroidalize.forms import (
     FormError,
     is_principal,
     monomial_free,
+    monomial_pair,
     transverse,
 )
+from toroidalize.invariants import summarize
 from toroidalize.oracle import SearchBound, exhaustive_search
 from toroidalize.principalize import (
     Scenario,
+    _select_target,
     default_budget,
     make_scenario,
     run,
@@ -29,6 +33,7 @@ from toroidalize.transform import ChartPoint
 from toroidalize.verify import run_rounds
 
 from conftest import assert_verifies_as_written, free_presentations, pair_presentations, try_pair
+from test_acceptance import grid_frees, grid_pairs
 
 
 @st.composite
@@ -232,7 +237,6 @@ def assert_descendants_name_their_parents(scenario):
     assert all(e.parent is None and e.point is None for e in scenario.entries)
     recorded = []
     for s in final.history:
-        assert s.chart_index == s.signature[0]
         parent_ids = [pid for pid, _ in s.parents]
         by_parent = {}
         for e in s.descendants:
@@ -261,3 +265,45 @@ def test_fixture_descendants_name_their_parents(name):
 @given(scenarios())
 def test_descendants_name_their_parents(scenario):
     assert_descendants_name_their_parents(scenario)
+
+
+def _max_taking_target(records):
+    """The target rule as it was before it read its maxima off the chart's
+    snapshot: the largest value among the free records, or among all when
+    none is free, then the lowest presentation id and its first center."""
+    pool = [r for r in records if r.signature[1] == "free"] or records
+    best = max(r.value for r in pool)
+    return min((r for r in pool if r.value == best), key=attrgetter("presentation_id"))
+
+
+def assert_steps_follow_the_max_taking_rule(scenario):
+    state = scenario
+    while locus := state.locus():
+        # the chart about to be stepped is the lowest one with centers
+        records = tuple(r for r in locus if r.signature[0] == locus[0].signature[0])
+        target = _max_taking_target(records)
+        assert _select_target(records, summarize(records)) is target
+        state = step(state)
+        s = state.history[-1]
+        assert (s.signature, s.value) == (target.signature, target.value)
+        # parents come in blowup-tree order, so the target's need not be first
+        assert dict(s.parents)[target.presentation_id] == target.center
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_target_rule_matches_the_max_taking_rule_it_replaced(scenario):
+    assert_steps_follow_the_max_taking_rule(scenario)
+
+
+def test_target_rule_matches_the_max_taking_rule_on_the_acceptance_grids():
+    # each pair twice, around a free presentation: ties between ids, and a
+    # switch from the 1-point to the 2-point phase
+    free = monomial_free((2, 1), (0, 1), 1)
+    for k in (2, 3):
+        for u, v in grid_pairs(4, k):
+            p = monomial_pair(u, v, 1)
+            assert_steps_follow_the_max_taking_rule(make_scenario(5, (True,), [p, free, p]))
+    for k in (1, 2, 3):
+        for u, v in grid_frees(4, k):
+            assert_steps_follow_the_max_taking_rule(make_scenario(5, (True,), [monomial_free(u, v, 1)]))

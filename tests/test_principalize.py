@@ -17,7 +17,6 @@ from toroidalize.oracle import SearchBound, exhaustive_search
 from toroidalize.principalize import (
     Entry,
     NoCenterError,
-    Phase,
     Scenario,
     StepBudgetExceededError,
     default_budget,
@@ -53,7 +52,7 @@ def test_step_replaces_parent_with_descendants():
 def test_step_records_invariants():
     after = step(euclid_scenario())
     (trace_step,) = after.history
-    assert trace_step.phase is Phase.TWO_POINT
+    assert trace_step.signature[1] == "pair"
     assert trace_step.value == 6
     assert trace_step.before.two_point_max == 6
     assert trace_step.after.two_point_max == 2
@@ -167,7 +166,7 @@ def test_ladder_drops_by_exactly_one():
     final = run(scenario, 16)
     assert [s.value for s in final.history] == [3, 2, 1]
     for s in final.history:
-        assert s.phase is Phase.ONE_POINT
+        assert s.signature[1] == "free"
         assert s.after.one_point_max == s.before.one_point_max - 1
 
 
@@ -181,10 +180,10 @@ def test_phase_order_one_point_before_two_point():
         ],
     )
     final = run(scenario, 64)
-    phases = [s.phase for s in final.history]
-    switch = phases.index(Phase.TWO_POINT)
-    assert all(p is Phase.ONE_POINT for p in phases[:switch])
-    assert all(p is Phase.TWO_POINT for p in phases[switch:])
+    classes = [s.signature[1] for s in final.history]
+    switch = classes.index("pair")
+    assert all(c == "free" for c in classes[:switch])
+    assert all(c == "pair" for c in classes[switch:])
 
 
 def test_charts_processed_in_index_order():
@@ -198,10 +197,10 @@ def test_charts_processed_in_index_order():
         ],
     )
     final = run(scenario, 64)
-    chart_sequence = [s.chart_index for s in final.history]
+    chart_sequence = [s.signature[0] for s in final.history]
     assert chart_sequence == sorted(chart_sequence)
     assert chart_sequence[-1] == 2
-    assert final.history[-1].phase is Phase.TRANSVERSE
+    assert final.history[-1].signature[1] == "transverse"
 
 
 def test_identical_presentations_share_a_step():

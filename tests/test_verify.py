@@ -104,6 +104,7 @@ MUTATIONS = {
     "embedded_scenario_longer": lambda d: d["scenario"]["presentations"][0].__setitem__("v", [0, 7]),
     "empty_step_appended": _append_empty_step,
     "descendant_cites_non_parent": lambda d: _steps(d)[0]["descendants"][0].__setitem__("parent", 42),
+    "classification_reordered": lambda d: d["rounds"][0]["classification"].reverse(),
 }
 
 # the trace each mutation edits, when it is not euclid's
@@ -170,6 +171,9 @@ NAMED = [
     ("pair_produced_nested", "closure", 0, 0, "monomial_pair produced nested"),
     ("leaf_not_principal", "final emptiness", 0, None, "leaf 4 is not principal"),
     ("descendant_cites_non_parent", "identity", 0, 0, "descendant 1 cites a non-parent"),
+    # leaf ids and classification ids are compared in recorded order
+    ("duplicated_leaf", "identity", 0, None, "leaf id 4 repeated"),
+    ("classification_reordered", "classification", 0, None, "classification does not cover the leaves"),
 ]
 
 
