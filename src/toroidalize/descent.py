@@ -102,16 +102,16 @@ def lift(p: MonomialPresentation) -> LiftedPresentation:
     """
     if not is_principal(p):
         raise NotPrincipalError("lift is undefined before principalization completes")
-    c, u, v = p.chart_index, p.u_row, p.v_row
-    if p.form not in DIVISORIAL_FORMS:
+    form, c, u, v, alpha_nonzero = p
+    if form not in DIVISORIAL_FORMS:
         # The smooth pair: v/u = x_2 (+ alpha) at U or inside, u/v = x_1 at V.
-        chart = SurfaceChart.V if p.form is Form.TRANSVERSE_PRODUCT else SurfaceChart.U
-        if p.alpha_nonzero:
+        chart = SurfaceChart.V if form is Form.TRANSVERSE_PRODUCT else SurfaceChart.U
+        if alpha_nonzero:
             chart = SurfaceChart.INTERIOR
         return LiftedPresentation(transverse(c), chart)
     if u == v:
-        chart = SurfaceChart.U if p.form is Form.MONOMIAL_FREE else SurfaceChart.INTERIOR
-        return LiftedPresentation(monomial_free(u, (0,) * p.k, c), chart)
+        chart = SurfaceChart.U if form is Form.MONOMIAL_FREE else SurfaceChart.INTERIOR
+        return LiftedPresentation(monomial_free(u, (0,) * len(u), c), chart)
 
     if divides(u, v):
         rows, chart = (u, tuple(b - a for a, b in zip(u, v))), SurfaceChart.U
@@ -119,11 +119,11 @@ def lift(p: MonomialPresentation) -> LiftedPresentation:
         rows, chart = (tuple(a - b for a, b in zip(u, v)), v), SurfaceChart.V
     if row_rank(*rows) == 2:
         lifted = monomial_pair(*rows, c)
-    elif p.form is Form.NESTED:
+    elif form is Form.NESTED:
         raise NoTemplateMatchError("nested shape with proportional quotient violates dominance")
     else:
         lifted = power_unit_from_rows(*rows, c)
-    note = COMPARABLE_PAIR_NOTE if p.form is Form.MONOMIAL_PAIR else None
+    note = COMPARABLE_PAIR_NOTE if form is Form.MONOMIAL_PAIR else None
     return LiftedPresentation(lifted, chart, note)
 
 

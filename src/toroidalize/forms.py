@@ -32,13 +32,23 @@ kept as a boolean flag.
 All types are immutable value objects and safe to share across threads.
 A presentation is a ``NamedTuple`` whose every constructor validates:
 calling the class, ``_make`` and ``_replace`` all run the shape checks.
+
+Every presentation the engine builds is checked, so the checks are kept
+cheap.  Divisibility (:func:`divides`), positivity and the zero-column
+test are one ``all`` call each, over a row or a ``map``, so they loop in
+C builtins.  A row entry passes on one type-identity test (a
+non-negative plain ``int``); the full per-entry test runs only on an
+entry that fails it, to accept an ``int`` subclass or to name the first
+bad entry.  :func:`row_rank` compares every column with the first
+nonzero one, in O(k).  ``Form`` members hash by identity, so the
+dispatch tables on a form hash in C.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from math import gcd
+from operator import add, le
 from typing import NamedTuple
 
 ExponentRow = tuple[int, ...]
@@ -66,6 +76,10 @@ class Form(Enum):
     TRANSVERSE_UNIT = "transverse_unit"
     TRANSVERSE_PRODUCT = "transverse_product"
 
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with equality and lets dict and set lookups hash in C.
+    __hash__ = object.__hash__
+
 
 #: Shapes that occur in charts whose base point lies on the target divisor.
 DIVISORIAL_FORMS = frozenset(
@@ -91,20 +105,31 @@ def validate_row(row: ExponentRow, *, what: str = "exponent row") -> None:
     if type(row) is not tuple:
         raise FormError(f"{what} must be a tuple, got {type(row).__name__}")
     for e in row:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        # A non-negative plain int passes the first test alone; anything else
+        # (an int subclass, a bool, a negative or a non-int) takes the full one.
+        if (type(e) is not int or e < 0) and (
+            not isinstance(e, int) or isinstance(e, bool) or e < 0
+        ):
             raise FormError(f"{what} entries must be non-negative integers, got {e!r}")
 
 
 def row_rank(u_row: ExponentRow, v_row: ExponentRow) -> int:
-    """Rank of the 2 x k integer matrix [u_row; v_row], by exact 2x2 minors."""
+    """Rank of the 2 x k integer matrix [u_row; v_row], by exact 2x2 minors.
+
+    The rank is 2 exactly when some column is not a multiple of the first
+    nonzero column f, i.e. some minor u_f v_j - u_j v_f is nonzero.
+    """
     if len(u_row) != len(v_row):
         raise FormError("rows must have equal length")
-    if any(u_row) or any(v_row):
-        for i, j in itertools.combinations(range(len(u_row)), 2):
-            if u_row[i] * v_row[j] - u_row[j] * v_row[i] != 0:
-                return 2
-        return 1
-    return 0
+    for u_f, v_f in zip(u_row, v_row):
+        if u_f or v_f:
+            break
+    else:
+        return 0
+    for u_j, v_j in zip(u_row, v_row):
+        if u_f * v_j != u_j * v_f:
+            return 2
+    return 1
 
 
 def primitive_part(row: ExponentRow) -> tuple[ExponentRow, int]:
@@ -119,7 +144,9 @@ def primitive_part(row: ExponentRow) -> tuple[ExponentRow, int]:
 
 def divides(a: ExponentRow, b: ExponentRow) -> bool:
     """Componentwise a <= b, i.e. the monomial x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("rows must have equal length")
+    return all(map(le, a, b))
 
 
 class _PresentationFields(NamedTuple):
@@ -150,9 +177,8 @@ class MonomialPresentation(_PresentationFields):
         validate_row(v_row, what="v_row")
         if len(u_row) != len(v_row):
             raise FormError("u_row and v_row must have equal length")
-        self = tuple.__new__(cls, (form, chart_index, u_row, v_row, alpha_nonzero))
-        _VALIDATORS[form](self)
-        return self
+        _VALIDATORS[form](u_row, v_row, alpha_nonzero)
+        return tuple.__new__(cls, (form, chart_index, u_row, v_row, alpha_nonzero))
 
     @classmethod
     def _make(cls, fields):  # ``_replace`` builds its result here too
@@ -184,79 +210,88 @@ class MonomialPresentation(_PresentationFields):
         return primitive_part(self.v_row)[1]
 
 
-def _validate_monomial_free(p: MonomialPresentation) -> None:
+# Each validator takes the fields of a presentation whose rows are already
+# known to be equal-length tuples of non-negative ints.
+
+def _validate_monomial_free(u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool) -> None:
     # u = x^a, v = x^b * y: u cuts the whole divisor, so every a_i > 0.
-    if p.k < 1:
+    if not u_row:
         raise FormError("monomial_free needs at least one divisor variable")
-    _check_u_positive_v_divides(p)
-    if p.alpha_nonzero:
+    _check_u_positive_v_divides("monomial_free", u_row, v_row)
+    if alpha_nonzero:
         raise FormError("monomial_free carries a bare free coordinate, not a unit shift")
 
 
-def _validate_nested(p: MonomialPresentation) -> None:
-    if p.k < 2:
+def _validate_nested(u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool) -> None:
+    if len(u_row) < 2:
         raise FormError("nested needs at least two divisor variables")
-    _check_u_positive_v_divides(p)
-    if p.v_row == p.u_row:
+    _check_u_positive_v_divides("nested", u_row, v_row)
+    if v_row == u_row:
         raise FormError("nested requires v to divide u strictly")
-    if p.alpha_nonzero:
+    if alpha_nonzero:
         raise FormError("nested carries no unit factor")
 
 
-def _validate_monomial_unit(p: MonomialPresentation) -> None:
-    if p.k < 1:
+def _validate_monomial_unit(u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool) -> None:
+    if not u_row:
         raise FormError("monomial_unit needs at least one divisor variable")
-    _check_u_positive_v_divides(p)
-    if not any(p.v_row):
+    _check_u_positive_v_divides("monomial_unit", u_row, v_row)
+    if not any(v_row):
         raise FormError("monomial_unit requires v to vanish at the point (some b_i > 0)")
-    if not p.alpha_nonzero:
+    if not alpha_nonzero:
         raise FormError("monomial_unit requires a nonzero unit shift")
 
 
-def _validate_power_unit(p: MonomialPresentation) -> None:
+def _validate_power_unit(u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool) -> None:
     # u = (x^g)^m, v = (x^g)^t: proportional rows over a positive base g.
-    if not (p.k and all(p.u_row) and all(p.v_row) and p.base == primitive_part(p.v_row)[0]):
+    if not (
+        u_row and all(u_row) and all(v_row)
+        and primitive_part(u_row)[0] == primitive_part(v_row)[0]
+    ):
         raise FormError("power_unit needs two proportional rows with positive entries")
-    if not p.alpha_nonzero:
+    if not alpha_nonzero:
         raise FormError("power_unit requires a nonzero unit shift")
 
 
-def _validate_monomial_pair(p: MonomialPresentation) -> None:
-    if p.k < 2:
+def _validate_monomial_pair(u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool) -> None:
+    if len(u_row) < 2:
         raise FormError("monomial_pair needs at least two divisor variables")
-    if not all(a + b > 0 for a, b in p.columns()):
+    # Entries are non-negative, so a column sum is zero only on a zero column.
+    if not all(map(add, u_row, v_row)):
         raise FormError("monomial_pair requires a_i + b_i > 0 in every column")
-    if row_rank(p.u_row, p.v_row) != 2:
+    if row_rank(u_row, v_row) != 2:
         raise FormError("monomial_pair requires rank [u_row; v_row] = 2")
-    if p.alpha_nonzero:
+    if alpha_nonzero:
         raise FormError("monomial_pair carries no unit factor")
 
 
-def _validate_transverse(p: MonomialPresentation) -> None:
-    if p.columns() != ((1, 0), (0, 1)):
+def _validate_transverse(u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool) -> None:
+    if u_row != (1, 0) or v_row != (0, 1):
         raise FormError("transverse must have u = x_1, v = x_2")
-    if p.alpha_nonzero:
+    if alpha_nonzero:
         raise FormError("transverse carries no unit factor")
 
 
-def _validate_transverse_unit(p: MonomialPresentation) -> None:
+def _validate_transverse_unit(u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool) -> None:
     # u = x_1, v = x_1 (x_2 + alpha); here alpha may vanish.
-    if p.columns() != ((1, 1),):
+    if u_row != (1,) or v_row != (1,):
         raise FormError("transverse_unit must have u = x_1, v = x_1 * (x_2 + alpha)")
 
 
-def _validate_transverse_product(p: MonomialPresentation) -> None:
-    if p.columns() != ((1, 0), (1, 1)):
+def _validate_transverse_product(
+    u_row: ExponentRow, v_row: ExponentRow, alpha_nonzero: bool
+) -> None:
+    if u_row != (1, 1) or v_row != (0, 1):
         raise FormError("transverse_product must have u = x_1 x_2, v = x_2")
-    if p.alpha_nonzero:
+    if alpha_nonzero:
         raise FormError("transverse_product carries no unit factor")
 
 
-def _check_u_positive_v_divides(p: MonomialPresentation) -> None:
-    if not all(a > 0 for a in p.u_row):
-        raise FormError(f"{p.form.value} requires every u-exponent positive")
-    if not divides(p.v_row, p.u_row):
-        raise FormError(f"{p.form.value} requires v-exponents <= u-exponents")
+def _check_u_positive_v_divides(name: str, u_row: ExponentRow, v_row: ExponentRow) -> None:
+    if not all(u_row):
+        raise FormError(f"{name} requires every u-exponent positive")
+    if not divides(v_row, u_row):
+        raise FormError(f"{name} requires v-exponents <= u-exponents")
 
 
 _VALIDATORS = {
@@ -338,7 +373,6 @@ def is_principal(p: MonomialPresentation) -> bool:
     dividing u.  The transverse shapes' rows are their coordinate
     exponents, so the same test decides them.
     """
-    return divides(p.u_row, p.v_row) or (
-        p.form is not Form.MONOMIAL_FREE and divides(p.v_row, p.u_row)
-    )
+    form, _, u_row, v_row, _ = p
+    return divides(u_row, v_row) or (form is not Form.MONOMIAL_FREE and divides(v_row, u_row))
 

@@ -41,15 +41,15 @@ def centers(p: MonomialPresentation) -> Iterator[tuple[Center, tuple, int]]:
     u-dominant index first, so each qualifying unordered pair appears
     exactly once.  Forms that are principal by construction yield nothing.
     """
-    chart = p.chart_index
-    if p.form is Form.TRANSVERSE:
+    form, chart, u_row, v_row, _ = p
+    if form is Form.TRANSVERSE:
         yield Center(1), (chart, "transverse", ()), 0
-    elif p.form is Form.MONOMIAL_FREE:
-        for i, (a, b) in enumerate(p.columns(), start=1):
+    elif form is Form.MONOMIAL_FREE:
+        for i, (a, b) in enumerate(zip(u_row, v_row), start=1):
             if b < a:
                 yield Center(i), (chart, "free", ((a, b),)), a - b
-    elif p.form is Form.MONOMIAL_PAIR:
-        columns = p.columns()
+    elif form is Form.MONOMIAL_PAIR:
+        columns = tuple(zip(u_row, v_row))
         for i, col_i in enumerate(columns, start=1):
             d_i = col_i[0] - col_i[1]
             if d_i <= 0:

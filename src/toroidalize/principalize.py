@@ -237,9 +237,10 @@ def _check_entry(entry: Entry, principal: bool, n: int, charts: tuple[bool, ...]
 
 
 def _check_dimension(p: MonomialPresentation, n: int, pid: int) -> None:
+    form = p.form
     # Shapes with a trailing coordinate need one slot beyond the divisor columns.
-    extra = 1 if p.form in (Form.MONOMIAL_FREE, Form.MONOMIAL_UNIT, Form.POWER_UNIT) else 0
-    need = p.k + extra if p.form in DIVISORIAL_FORMS else 2
+    extra = 1 if form in (Form.MONOMIAL_FREE, Form.MONOMIAL_UNIT, Form.POWER_UNIT) else 0
+    need = len(p.u_row) + extra if form in DIVISORIAL_FORMS else 2
     if need > n:
         raise FormError(f"presentation {pid} needs {need} coordinates but n = {n}")
 
@@ -253,6 +254,10 @@ def make_scenario(
         Entry(i, p, active=not is_principal(p)) for i, p in enumerate(presentations)
     )
     return Scenario(n=n, charts=tuple(charts), entries=entries, next_id=len(entries))
+
+
+# ChartPoint in member order, without iterating the enum class on every blowup.
+_POINTS = tuple(ChartPoint)
 
 
 def _select_target(records: tuple[CenterRecord, ...], before: Snapshot) -> CenterRecord:
@@ -302,7 +307,7 @@ def step(scenario: Scenario) -> Scenario:
         parents.append((pid, r.center))
         born_active: list[tuple[int, MonomialPresentation]] = []
         children = blowup(r.presentation, r.center).descendants
-        for point, child in zip(ChartPoint, children, strict=True):
+        for point, child in zip(_POINTS, children, strict=True):
             principal = is_principal(child)
             new_entry = Entry(next_id, child, not principal, pid, point)
             _check_entry(new_entry, principal, n, charts)

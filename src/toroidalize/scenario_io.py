@@ -424,16 +424,19 @@ def canonical_dumps(doc) -> str:
 # -- presentations ---------------------------------------------------------------
 
 def presentation_to_doc(p: MonomialPresentation) -> dict:
-    doc: dict = {"form": p.form.value, "chart": p.chart_index}
-    if p.form is Form.POWER_UNIT:
+    form, chart, u_row, v_row, alpha_nonzero = p
+    # ``_value_`` is the member's value as a plain attribute; ``.value``
+    # goes through a Python-level descriptor.
+    doc: dict = {"form": form._value_, "chart": chart}
+    if form is Form.POWER_UNIT:
         doc["base"] = list(p.base)
         doc["power_u"] = p.power_u
         doc["power_v"] = p.power_v
-    elif p.form is Form.TRANSVERSE_UNIT:
-        doc["alpha_nonzero"] = p.alpha_nonzero
-    elif p.form not in (Form.TRANSVERSE, Form.TRANSVERSE_PRODUCT):
-        doc["u"] = list(p.u_row)
-        doc["v"] = list(p.v_row)
+    elif form is Form.TRANSVERSE_UNIT:
+        doc["alpha_nonzero"] = alpha_nonzero
+    elif form not in (Form.TRANSVERSE, Form.TRANSVERSE_PRODUCT):
+        doc["u"] = list(u_row)
+        doc["v"] = list(v_row)
     return doc
 
 
@@ -567,13 +570,13 @@ def step_to_doc(index: int, step: TraceStep) -> dict:
         "parents": [{"id": pid, "center": center_to_doc(c)} for pid, c in step.parents],
         "descendants": [
             {
-                "id": e.id,
-                "parent": e.parent,
-                "point": e.point.value,
-                "principal": not e.active,
-                "presentation": presentation_to_doc(e.presentation),
+                "id": pid,
+                "parent": parent,
+                "point": point._value_,
+                "principal": not active,
+                "presentation": presentation_to_doc(presentation),
             }
-            for e in step.descendants
+            for pid, presentation, active, parent, point in step.descendants
         ],
         "before": step.before._asdict(),
         "after": step.after._asdict(),

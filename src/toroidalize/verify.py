@@ -155,6 +155,11 @@ def _check_round(round_doc: dict, round_index: int) -> None:
                 round_index, idx, "chart order", f"chart fell from {last_chart} to {chart}"
             )
         last_chart = chart
+        if not 1 <= chart <= len(charts):
+            raise VerificationError(
+                round_index, idx, "step chart",
+                f"step chart {chart} is not one of charts 1..{len(charts)}",
+            )
         if charts[chart - 1] == (phase == "transverse"):
             raise VerificationError(
                 round_index, idx, "phase", f"phase {phase} contradicts chart {chart}'s base point"
@@ -198,6 +203,12 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             if pid not in active:
                 raise VerificationError(
                     round_index, idx, "worklist", f"parent {pid} is not an active presentation"
+                )
+            parent_chart = ledger[pid]["presentation"]["chart"]
+            if parent_chart != chart:
+                raise VerificationError(
+                    round_index, idx, "step chart",
+                    f"parent {pid} lies in chart {parent_chart}, not in the step's chart {chart}",
                 )
         for desc in step_doc["descendants"]:
             did = desc["id"]

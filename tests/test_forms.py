@@ -1,14 +1,19 @@
+import copy
 import itertools
+import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toroidalize import descent, forms, scenario_io, transform
 from toroidalize.forms import (
+    DIVISORIAL_FORMS,
     Form,
     FormError,
     MonomialPresentation,
     check_chart,
+    divides,
     is_principal,
     monomial_free,
     monomial_pair,
@@ -20,6 +25,7 @@ from toroidalize.forms import (
     transverse,
     transverse_product,
     transverse_unit,
+    validate_row,
 )
 from toroidalize.oracle import oracle_principal, oracle_rank
 from toroidalize.principalize import make_scenario
@@ -182,3 +188,136 @@ def test_violated_invariants_rejected(data):
     v[i] = u[i] + data.draw(st.integers(1, 3))
     with pytest.raises(FormError):
         monomial_free(u, tuple(v), 1)
+
+
+# -- the fast checks agree with their definitions ------------------------------------
+
+_ENTRY = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**30))
+
+
+@st.composite
+def rank_rows(draw):
+    """Two rows of k <= 8 entries up to 10^30: often proportional (a nudge
+    may break that), often with zero columns."""
+    k = draw(st.integers(1, 8))
+    g = draw(st.lists(_ENTRY, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        a, b = draw(_ENTRY), draw(_ENTRY)
+        u, v = [a * x for x in g], [b * x for x in g]
+        if draw(st.booleans()):
+            v[draw(st.integers(0, k - 1))] += draw(st.integers(1, 10**30))
+    else:
+        u, v = g, draw(st.lists(_ENTRY, min_size=k, max_size=k))
+    for i in draw(st.sets(st.integers(0, k - 1))):
+        u[i] = v[i] = 0
+    if draw(st.booleans()):
+        u, v = v, u
+    return tuple(u), tuple(v)
+
+
+@settings(max_examples=300)
+@given(rows=rank_rows())
+def test_row_rank_matches_minor_oracle(rows):
+    assert row_rank(*rows) == oracle_rank(*rows)
+
+
+@given(a=st.lists(_ENTRY, max_size=8), data=st.data())
+def test_divides_is_componentwise_le(a, data):
+    b = tuple(data.draw(st.one_of(_ENTRY, st.just(x))) for x in a)
+    assert divides(tuple(a), b) == all(x <= y for x, y in zip(a, b))
+    longer = data.draw(st.lists(_ENTRY, min_size=len(a) + 1, max_size=len(a) + 3))
+    with pytest.raises(ValueError):
+        divides(tuple(a), tuple(longer))
+    with pytest.raises(ValueError):
+        divides(tuple(longer), tuple(a))
+
+
+class _Int(int):
+    pass
+
+
+def _validate_row_by_entry(row, *, what):
+    """The per-entry definition of a valid exponent row."""
+    if type(row) is not tuple:
+        raise FormError(f"{what} must be a tuple, got {type(row).__name__}")
+    for e in row:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise FormError(f"{what} entries must be non-negative integers, got {e!r}")
+
+
+def _outcome(check, row, what):
+    try:
+        check(row, what=what)
+    except FormError as exc:
+        return str(exc)
+    return None
+
+
+_ANY_ENTRY = st.one_of(
+    st.integers(-3, 10**30),
+    st.integers(-3, 10**30).map(_Int),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+@settings(max_examples=300)
+@given(
+    row=st.one_of(
+        st.tuples(),
+        st.lists(st.integers(0, 10**30), max_size=6).map(tuple),
+        st.lists(_ANY_ENTRY, max_size=6).map(tuple),
+        st.lists(_ANY_ENTRY, max_size=3),
+    ),
+    what=st.sampled_from(["u_row", "v_row", "base"]),
+)
+def test_validate_row_matches_the_per_entry_check(row, what):
+    assert _outcome(validate_row, row, what) == _outcome(_validate_row_by_entry, row, what)
+
+
+def test_validate_row_accepts_int_subclasses_and_names_the_bad_entry():
+    validate_row((_Int(2), 0, _Int(0)))
+    for bad in (True, -1, 1.0, "1", None, _Int(-2)):
+        with pytest.raises(FormError) as info:
+            validate_row((3, bad, -5), what="u_row")
+        assert str(info.value) == f"u_row entries must be non-negative integers, got {bad!r}"
+
+
+# -- Form members hash by identity -------------------------------------------------
+
+def test_form_lookup_by_value_returns_the_member():
+    assert Form("monomial_pair") is Form.MONOMIAL_PAIR
+    for form in Form:
+        assert Form(form.value) is form
+
+
+@pytest.mark.parametrize("form", list(Form), ids=lambda f: f.value)
+def test_copy_and_pickle_return_the_same_member(form):
+    assert copy.copy(form) is form
+    assert copy.deepcopy(form) is form
+    assert pickle.loads(pickle.dumps(form)) is form
+    assert hash(pickle.loads(pickle.dumps(form))) == hash(form)
+
+
+DISPATCH_TABLES = {
+    "forms._VALIDATORS": forms._VALIDATORS,
+    "forms.DIVISORIAL_FORMS": DIVISORIAL_FORMS,
+    "descent.TEMPLATES": descent.TEMPLATES,
+    "transform._BLOWUPS": transform._BLOWUPS,
+    "scenario_io._ROW_FORMS": scenario_io._ROW_FORMS,
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH_TABLES)
+def test_every_dispatch_table_resolves_every_member(name):
+    table = DISPATCH_TABLES[name]
+    for form in Form:
+        same = (Form(form.value), copy.deepcopy(form), pickle.loads(pickle.dumps(form)))
+        assert [member in table for member in same] == [form in table] * 3
+    assert {form for form in Form if form in table} == set(table)
+
+
+def test_every_form_has_a_validator():
+    assert set(forms._VALIDATORS) == set(Form)

@@ -105,6 +105,10 @@ MUTATIONS = {
     "empty_step_appended": _append_empty_step,
     "descendant_cites_non_parent": lambda d: _steps(d)[0]["descendants"][0].__setitem__("parent", 42),
     "classification_reordered": lambda d: d["rounds"][0]["classification"].reverse(),
+    # chart 0 would read the last chart's flag as charts[-1]
+    "step_chart_zero": lambda d: _steps(d)[0].__setitem__("chart", 0),
+    # a declared chart, but the parent (euclid's pair) lies in chart 1
+    "step_chart_not_parents": lambda d: _steps(d)[0].__setitem__("chart", 2),
 }
 
 # the trace each mutation edits, when it is not euclid's
@@ -112,6 +116,7 @@ BASE = {
     "chart_order_fell": "mixed_charts",
     "transverse_locus_kept": "mixed_charts",
     "unused_chart_flag_flipped": "two_charts",
+    "step_chart_not_parents": "two_charts",
 }
 
 
@@ -121,12 +126,17 @@ def mutated(base_traces, name):
     return doc
 
 
-# every mutation but this one also exits 5 through the CLI; this one fails
-# the trace schema (a step needs a parent), which ``verify`` reports first
+# every mutation but these also exits 5 through the CLI; these fail the
+# trace schema (a step needs a parent, a chart is at least 1), which
+# ``verify`` reports first
 SCHEMA_FIRST = {
     "empty_step_appended": {
         "path": "$.rounds[0].steps[3].parents",
         "message": "[] should be non-empty",
+    },
+    "step_chart_zero": {
+        "path": "$.rounds[0].steps[0].chart",
+        "message": "0 is less than the minimum of 1",
     },
 }
 
@@ -171,6 +181,12 @@ NAMED = [
     ("pair_produced_nested", "closure", 0, 0, "monomial_pair produced nested"),
     ("leaf_not_principal", "final emptiness", 0, None, "leaf 4 is not principal"),
     ("descendant_cites_non_parent", "identity", 0, 0, "descendant 1 cites a non-parent"),
+    ("chart_out_of_range", "step chart", 0, 0, "step chart 99 is not one of charts 1..1"),
+    ("step_chart_zero", "step chart", 0, 0, "step chart 0 is not one of charts 1..1"),
+    (
+        "step_chart_not_parents", "step chart", 0, 0,
+        "parent 0 lies in chart 1, not in the step's chart 2",
+    ),
     # leaf ids and classification ids are compared in recorded order
     ("duplicated_leaf", "identity", 0, None, "leaf id 4 repeated"),
     ("classification_reordered", "classification", 0, None, "classification does not cover the leaves"),
