@@ -24,7 +24,6 @@ builds on the first call.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from pathlib import Path
@@ -39,7 +38,7 @@ from .scenario_io import (
     trace_doc,
     write_trace,
 )
-from .verify import RoundError, VerificationError, run_rounds, verify_trace
+from .verify import RoundError, VerificationError, run_rounds, same_json, verify_trace
 
 # Not called here: bench/tracing.py patches these names in this module.
 from .descent import classify_scenario, reseed  # noqa: F401
@@ -132,11 +131,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Accept a trace when the checks pass and its regeneration dumps to
-    the same sorted-key JSON (``1``, ``1.0`` and ``true`` differ there):
-    it is then what ``run`` writes, and that passes the trace schema.  Only
-    otherwise run the full trace schema, whose error is reported ahead of
-    whatever the checks raised.
+    """Accept a trace when the checks pass and its regeneration is
+    ``same_json`` as the trace read: one type-strict walk, so ``1``,
+    ``1.0`` and ``true`` differ, as they would in sorted-key dumps.  The
+    regeneration holds no float outside the read trace's own ``scenario``,
+    so for it the walk says "equal" exactly when those dumps would agree;
+    the trace is then what ``run`` writes, and that passes the trace
+    schema.  Only otherwise run the full trace schema, whose error is
+    reported ahead of whatever the checks raised.
     """
     trace = read_trace(args.trace)
     try:
@@ -144,8 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except Exception:
         load_trace(args.trace)
         raise
-    # compact dumps take the C encoder, about half of canonical_dumps' time
-    if json.dumps(regenerated, sort_keys=True) != json.dumps(trace, sort_keys=True):
+    if not same_json(regenerated, trace):
         load_trace(args.trace)
     _emit({"status": "ok", "summary": trace["summary"]})
     return EXIT_OK

@@ -449,6 +449,10 @@ _ROW_FORMS = {
 }
 
 
+# A dict lookup hashes in C; ``Form(name)`` goes through ``EnumType.__call__``.
+_FORMS = {form._value_: form for form in Form}
+
+
 def _chart_from_doc(value, charts: tuple[bool, ...], path: str) -> int:
     # The schema admits an integral float such as 1.0 as an integer: read the int it names.
     chart = int(value)
@@ -459,7 +463,10 @@ def _chart_from_doc(value, charts: tuple[bool, ...], path: str) -> int:
 
 def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> MonomialPresentation:
     chart = _chart_from_doc(doc["chart"], charts, f"{path}.chart")
-    form = Form(doc["form"])
+    try:
+        form = _FORMS[doc["form"]]
+    except (KeyError, TypeError):  # ``Form`` raises its own ValueError for an unknown name
+        form = Form(doc["form"])
     try:
         if form is Form.POWER_UNIT:
             p = forms.power_unit(doc["base"], doc["power_u"], doc["power_v"], chart)

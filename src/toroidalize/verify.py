@@ -13,9 +13,11 @@ step count as its budget, reproduces every round document whole.  The
 first violated invariant is reported with its round and step index.
 
 ``toroidalize verify`` runs these checks before the trace schema, and
-accepts a trace only when the trace :func:`verify_trace` regenerates
-matches it byte for byte; only when that fails does the full trace schema
-run.
+accepts a trace only when the trace :func:`verify_trace` regenerates is
+:func:`same_json` as the one it read: one type-strict walk, which says
+"equal" exactly when the two would dump to the same sorted-key JSON, since
+the regenerated trace holds no float of its own.  Only when the walk says
+"different" does the full trace schema run.
 """
 
 from __future__ import annotations
@@ -124,11 +126,14 @@ def _check_round(round_doc: dict, round_index: int) -> None:
 
     ``ledger`` maps every id recorded so far to its item, and ``active``
     holds the ids still on the worklist; each descendant is admitted
-    against its parent's ledger entry.
+    against its parent's ledger entry.  ``measures`` keeps the measure of
+    each admitted active descendant, and of an initial item once it is
+    first a parent, so each presentation is measured once.
     """
     charts = tuple(round_doc["charts"])
     ledger: dict[int, dict] = {}
     active: set[int] = set()
+    measures: dict[int, tuple[int, int]] = {}
 
     for item in round_doc["initial"]:
         pid = item["id"]
@@ -233,12 +238,16 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             ledger[did] = desc
             if desc["principal"]:
                 continue
-            measure, parent_measure = _measure(child_doc), _measure(parent_doc)
+            measure = _measure(child_doc)
+            parent_measure = measures.get(desc["parent"])
+            if parent_measure is None:  # an initial item, first as a parent
+                parent_measure = measures[desc["parent"]] = _measure(parent_doc)
             if not measure < parent_measure:
                 raise VerificationError(
                     round_index, idx, "strict descent",
                     f"descendant {did} measure {measure} not below its parent's {parent_measure}",
                 )
+            measures[did] = measure
             active.add(did)
         active -= parent_ids
 
@@ -338,3 +347,55 @@ def verify_trace(trace: dict) -> dict:
         # Schema validation bounds the shape but not cross-references (chart
         # indices, ids); treat dangling references as a verification failure.
         raise VerificationError(0, None, "structure", f"{type(exc).__name__}: {exc}") from exc
+
+
+def same_json(a, b) -> bool:
+    """Whether ``a`` and ``b`` are the same JSON document: at every node the
+    same ``type``, the same dict keys, the same list length and equal
+    scalars.  Subtrees the two share (``x is y``) count as equal at once,
+    and the answer comes at the first node that differs.
+
+    ``a == b`` compares keys, lengths and values in C but takes ``1``,
+    ``1.0`` and ``true`` as equal; a walk then requires ``type(x) is
+    type(y)`` at every node it reaches, and answers "different" at a float
+    that the two do not share (``-0.0 == 0.0``, yet the two dump apart).
+
+    Why this stands in for comparing ``json.dumps(a, sort_keys=True)`` with
+    ``json.dumps(b, sort_keys=True)``, for JSON trees (dicts with str keys,
+    lists, str, int, float, bool, None):
+
+    - "equal" implies equal dumps: same types and equal values at every
+      node, and every float node shared.
+    - Where ``a`` holds no float outside what it shares with ``b``, equal
+      dumps imply "equal": json spells an int, a float, a bool, None and a
+      str apart (``1``, ``1.0``, ``true``, ``null``, ``"1"``), so equal
+      dumps match types node for node.  ``-0.0`` against ``0`` and
+      ``1e20`` against ``10**20`` differ in type.
+    - :func:`verify_trace`'s regenerated trace is such an ``a``: its own
+      nodes hold only dicts, lists, str, int, bool and None, and its
+      ``scenario`` is the read trace's own object.
+    - Were the walk ever to say "different" where the dumps agree, ``verify``
+      would only run the trace schema, which every trace ``run`` writes
+      passes.
+
+    It recurses as deep as ``a`` nests.
+    """
+    if a is b:
+        return True
+    t = type(a)
+    if t is not type(b) or t is float or a != b:
+        return False
+    return (t is not dict and t is not list) or _same_types(a, b)
+
+
+def _same_types(a, b) -> bool:
+    # a == b holds: same keys and lengths, values equal up to 1 == 1.0 == True
+    for x, y in zip(a.values(), map(b.__getitem__, a)) if type(a) is dict else zip(a, b):
+        if x is y:
+            continue
+        t = type(x)
+        if t is not type(y) or t is float:
+            return False
+        if (t is dict or t is list) and not _same_types(x, y):
+            return False
+    return True

@@ -16,7 +16,7 @@ from toroidalize.forms import (
     transverse_unit,
 )
 from toroidalize.scenario_io import check_schema
-from toroidalize.verify import verify_trace
+from toroidalize.verify import same_json, verify_trace
 
 
 def reference_dumps(doc):
@@ -87,8 +87,10 @@ def free_presentations(draw, max_entry=6, max_k=4):
 
 def assert_verifies_as_written(trace):
     """``trace``, as the engine wrote it, passes the trace schema and
-    ``verify_trace`` regenerates it byte for byte.  ``verify`` accepts a
-    trace without the schema only on such a regeneration, so this property
-    is what makes that sound."""
+    ``verify_trace`` regenerates it byte for byte, which ``same_json`` sees.
+    ``verify`` accepts a trace without the schema only on such a
+    regeneration, so this property is what makes that sound."""
     check_schema(trace, "trace.schema.json")
-    assert json.dumps(verify_trace(trace), sort_keys=True) == json.dumps(trace, sort_keys=True)
+    regenerated = verify_trace(trace)
+    assert json.dumps(regenerated, sort_keys=True) == json.dumps(trace, sort_keys=True)
+    assert same_json(regenerated, trace)

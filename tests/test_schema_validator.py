@@ -20,7 +20,7 @@ from toroidalize.cli import main
 from toroidalize.scenario_io import SchemaError, _load_schema, _validator, _Validator, check_schema
 
 from conftest import reference_dumps
-from test_verify import MUTATIONS, PINNED, base_traces, mutated  # noqa: F401  (base_traces is a fixture)
+from test_verify import MUTATIONS, PINNED, PINNED_BASE, base_traces, mutated  # noqa: F401  (base_traces is a fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -106,8 +106,8 @@ def test_verify_mutations(base_traces, edit):
 
 
 @pytest.mark.parametrize("edit", sorted(PINNED), ids=str)
-def test_verify_pinned_edits(euclid_trace, edit):
-    doc = copy.deepcopy(euclid_trace)
+def test_verify_pinned_edits(base_traces, edit):
+    doc = copy.deepcopy(base_traces[PINNED_BASE.get(edit, "euclid")])
     PINNED[edit][0](doc)
     assert_same(doc, "trace.schema.json")
 

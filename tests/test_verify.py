@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toroidalize import scenario_io
 from toroidalize.cli import main
 from toroidalize.scenario_io import SchemaError, canonical_dumps, check_schema, load_trace
-from toroidalize.verify import VerificationError, verify_trace
+from toroidalize.verify import VerificationError, same_json, verify_trace
 
 from conftest import reference_dumps
 
@@ -28,15 +30,25 @@ TWO_CHARTS = {
     "presentations": [{"chart": 1, "form": "monomial_pair", "u": [2, 0], "v": [0, 3]}],
 }
 
+# already principal, so its trace takes 0 steps; 2**60 is past the integers
+# a float holds exactly one by one, yet float(2**60) == 2**60
+BIG_PAIR = {
+    "version": 1, "n": 3,
+    "charts": [{"q_in_divisor": True}],
+    "presentations": [{"chart": 1, "form": "monomial_pair", "u": [2**60, 0], "v": [2**60, 1]}],
+}
+
 
 @pytest.fixture(scope="module")
 def base_traces(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("verify")
     (tmp / "two_charts.json").write_text(json.dumps(TWO_CHARTS))
+    (tmp / "big_pair.json").write_text(json.dumps(BIG_PAIR))
     scenarios = {
         "euclid": FIXTURES / "euclid.json",
         "mixed_charts": FIXTURES / "mixed_charts.json",
         "two_charts": tmp / "two_charts.json",
+        "big_pair": tmp / "big_pair.json",
     }
     traces = {}
     for name, scenario in scenarios.items():
@@ -319,13 +331,33 @@ PINNED = {
         5,
         '"invariant": "phase policy"',
     ),
+    # == takes each of these as unchanged, the sorted-key dumps do not
+    "chart_flag_as_int": (
+        lambda d: d["rounds"][0]["charts"].__setitem__(0, 1), 2, '"path": "$.rounds[0].charts[0]"'
+    ),
+    "summary_rounds_as_true": (
+        lambda d: d["summary"].__setitem__("rounds", True), 2, '"path": "$.summary.rounds"'
+    ),
+    # the schema's integer admits -0.0, and its minimum of 0 too
+    "step_index_as_negative_zero": (
+        lambda d: _first_step(d).__setitem__("index", -0.0), 0, '"status": "ok"'
+    ),
+    # the row check refuses the float before any comparison
+    "big_exponent_as_float": (
+        lambda d: d["rounds"][0]["initial"][0]["presentation"]["u"].__setitem__(0, float(2**60)),
+        5,
+        '"invariant": "well-formedness"',
+    ),
 }
+
+# the trace each pinned edit starts from, when it is not euclid's
+PINNED_BASE = {"big_exponent_as_float": "big_pair"}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_edit_verdict(base_trace, name, tmp_path):
+def test_pinned_edit_verdict(base_traces, name, tmp_path):
     edit, code, marker = PINNED[name]
-    doc = copy.deepcopy(base_trace)
+    doc = copy.deepcopy(base_traces[PINNED_BASE.get(name, "euclid")])
     edit(doc)
     path = tmp_path / f"{name}.trace.json"
     path.write_text(canonical_dumps(doc))
@@ -402,3 +434,127 @@ def test_one_node_edit_keeps_the_schema_first_verdict(fuzz_traces, data):
         check_schema(doc, "trace.schema.json")
     except SchemaError:
         assert got[0] == 2
+
+
+# -- same_json against the sorted-key dumps it stands in for -----------------------
+
+def dumps_equal(a, b):
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+walk_ints = st.integers(-2, 2) | st.integers(-(10**30), 10**30)
+walk_floats = st.floats() | st.sampled_from([-0.0, 0.0, 1.0, 1e20, float(2**60)])
+walk_texts = st.text("ab1", max_size=2)  # a small alphabet, so keys and strings repeat
+
+
+def json_trees(scalars):
+    return st.recursive(
+        scalars,
+        lambda children: (
+            st.lists(children, max_size=4) | st.dictionaries(walk_texts, children, max_size=4)
+        ),
+        max_leaves=20,
+    )
+
+
+float_free_trees = json_trees(st.none() | st.booleans() | walk_ints | walk_texts)
+any_trees = json_trees(st.none() | st.booleans() | walk_ints | walk_floats | walk_texts)
+
+
+def _respellings(x):
+    """Other scalars that ``==`` takes as ``x``, or nearly."""
+    if type(x) is bool:
+        return [int(x), float(x)]
+    if type(x) is int:
+        return [float(x), *([bool(x)] if x in (0, 1) else []), *([-0.0] if x == 0 else [])]
+    return []
+
+
+@st.composite
+def respelled(draw, tree):
+    """A copy of ``tree`` with some of its scalars respelled."""
+    if type(tree) is dict:
+        return {key: draw(respelled(value)) for key, value in tree.items()}
+    if type(tree) is list:
+        return [draw(respelled(value)) for value in tree]
+    options = _respellings(tree)
+    if options and draw(st.booleans()):
+        return draw(st.sampled_from(options))
+    return tree
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_same_json_is_sorted_key_dumps_equality(data):
+    a = data.draw(float_free_trees, label="a")
+    b = data.draw(any_trees | respelled(a), label="b")
+    assert same_json(a, b) == dumps_equal(a, b)
+    # a subtree both share by identity may hold floats, as the embedded
+    # scenario does in verify
+    shared = data.draw(any_trees, label="shared")
+    assert same_json({"s": shared, "t": a}, {"s": shared, "t": b}) == dumps_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1, True), (0, False), (1, 1.0), (0, -0.0), (10**20, 1e20), (2**60, float(2**60)),
+        ("1", 1), (None, 0), ([[]], [{}]), ([1, 2], [1, 2.0]), ([1, 2], [1, 2, 3]),
+        ({"a": True}, {"a": 1}), ({"a": 1}, {"a": 1, "b": None}), ({"a": 1}, {"b": 1}),
+        ({"a": [1, {"b": [True, None, "x"]}]}, {"a": [1, {"b": [True, None, "x"]}]}),
+    ],
+)
+def test_same_json_examples(a, b):
+    assert same_json(a, b) == dumps_equal(a, b)
+    assert same_json(b, a) == dumps_equal(a, b)
+
+
+def test_same_json_takes_a_shared_subtree_as_equal():
+    shared = [math.nan, -0.0, 1e20]
+    assert same_json({"s": shared, "t": 1}, {"s": shared, "t": 1})
+    # an unshared float answers "different": -0.0 == 0.0, yet they dump apart
+    assert not same_json([0.0], [-0.0])
+    assert not same_json([float("1.5")], [float("1.5")])
+
+
+# -- verify accepts every trace run writes without the trace schema ----------------
+
+@pytest.fixture
+def trace_schema_calls(monkeypatch):
+    """The documents ``scenario_io.check_schema`` is asked to check against
+    the trace schema from here on."""
+    calls = []
+    check = scenario_io.check_schema
+
+    def counted(doc, schema_name):
+        if schema_name == "trace.schema.json":
+            calls.append(doc)
+        check(doc, schema_name)
+
+    monkeypatch.setattr(scenario_io, "check_schema", counted)
+    return calls
+
+
+def _float_charts():
+    # mixed_charts with every chart index spelled as a float, as in
+    # test_cli.py::test_integral_float_chart_runs_as_its_int
+    doc = json.loads((FIXTURES / "mixed_charts.json").read_text())
+    for p in doc["presentations"]:
+        p["chart"] = float(p["chart"])
+    return doc
+
+
+@pytest.mark.parametrize("name", [*sorted(p.stem for p in FIXTURES.glob("*.json")), "float_charts"])
+def test_verify_of_a_run_trace_skips_the_trace_schema(name, tmp_path, trace_schema_calls, capsys):
+    # the verdicts would hold without the fast path too; only the schema
+    # calls show whether same_json accepted run's own trace
+    scenario = FIXTURES / f"{name}.json"
+    if name == "float_charts":
+        scenario = tmp_path / "float_charts.json"
+        scenario.write_text(json.dumps(_float_charts()))
+    out = tmp_path / f"{name}.trace.json"
+    assert main(["run", str(scenario), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert trace_schema_calls == []
