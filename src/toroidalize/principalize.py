@@ -56,7 +56,7 @@ class NoCenterError(RuntimeError):
 
 
 class StepBudgetExceededError(RuntimeError):
-    """The run did not empty the locus within its step budget."""
+    """The run did not, or provably cannot, empty the locus within its step budget."""
 
     def __init__(self, steps: int, scenario: "Scenario") -> None:
         super().__init__(f"locus still nonempty after {steps} steps")
@@ -382,18 +382,17 @@ def run(scenario: Scenario, max_steps: int) -> Scenario:
     at it) is lexicographically below its parent's, as ``verify`` checks,
     so the multiset of these measures drops in the multiset order and the
     run terminates; the chart-wide (phase maximum, achiever count) need
-    not drop.  When the budget runs out this raises
-    :class:`StepBudgetExceededError`; a run whose :func:`step_lower_bound`
-    already exceeds the budget fails before its first step.
+    not drop.  It raises :class:`StepBudgetExceededError` when the budget
+    runs out or, checked at steps 0, 1, 2, 4, ..., when the steps taken plus
+    the :func:`step_lower_bound` of the state reached exceed it.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    if step_lower_bound(scenario) > max_steps:
-        raise StepBudgetExceededError(0, scenario)
     current = scenario
     steps = 0
     while current._centers:
-        if steps >= max_steps:
+        due = not steps & (steps - 1)  # at 0, 1, 2, 4, ...; the bound holds from any state
+        if steps >= max_steps or due and steps + step_lower_bound(current) > max_steps:
             raise StepBudgetExceededError(steps, current)
         current = step(current)
         steps += 1

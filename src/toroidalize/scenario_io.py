@@ -344,8 +344,9 @@ def _validator(name: str) -> _Validator:
 
 
 def check_schema(doc, schema_name: str) -> None:
-    """Raise ``SchemaError`` for the deepest error in ``doc``, the last one
-    in iteration order among equally deep paths."""
+    """Raise ``SchemaError`` for the deepest error in ``doc``; among equally
+    deep paths, for the one whose ``str(list(path))`` sorts last (``u[1]``
+    beats ``u[10]``), and at one path for the last in iteration order."""
     errors = sorted(
         _validator(schema_name).errors(doc), key=lambda e: (len(e[0]), str(list(e[0])))
     )

@@ -125,15 +125,14 @@ def _check_round(round_doc: dict, round_index: int) -> None:
     """Read a recorded round once: initial items, then steps, then leaves.
 
     ``ledger`` maps every id recorded so far to its item, and ``active``
-    holds the ids still on the worklist; each descendant is admitted
-    against its parent's ledger entry.  ``measures`` keeps the measure of
-    each admitted active descendant, and of an initial item once it is
-    first a parent, so each presentation is measured once.
+    each id still on the worklist to its measure, taken when the item is
+    admitted; a descendant is admitted against its parent's entries in
+    both.  A round passes only if every active item becomes a parent, so
+    each presentation is measured once and every measure is used.
     """
     charts = tuple(round_doc["charts"])
     ledger: dict[int, dict] = {}
-    active: set[int] = set()
-    measures: dict[int, tuple[int, int]] = {}
+    active: dict[int, tuple[int, int]] = {}
 
     for item in round_doc["initial"]:
         pid = item["id"]
@@ -144,7 +143,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             )
         ledger[pid] = item
         if not item["principal"]:
-            active.add(pid)
+            active[pid] = _measure(item["presentation"])
 
     last_chart = 0
     chart_phase_rank: dict[int, int] = {}
@@ -239,17 +238,15 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             if desc["principal"]:
                 continue
             measure = _measure(child_doc)
-            parent_measure = measures.get(desc["parent"])
-            if parent_measure is None:  # an initial item, first as a parent
-                parent_measure = measures[desc["parent"]] = _measure(parent_doc)
+            parent_measure = active[desc["parent"]]
             if not measure < parent_measure:
                 raise VerificationError(
                     round_index, idx, "strict descent",
                     f"descendant {did} measure {measure} not below its parent's {parent_measure}",
                 )
-            measures[did] = measure
-            active.add(did)
-        active -= parent_ids
+            active[did] = measure
+        for pid in parent_ids:
+            del active[pid]
 
     leaf_ids: dict[int, None] = {}  # in recorded order
     for leaf in round_doc["leaves"]:

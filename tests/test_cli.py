@@ -174,8 +174,9 @@ def test_unwritable_trace_path_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "fixture, max_steps, detail",
     [
-        # euclid's lower bound is 2 and its run takes 3 steps
-        ("euclid.json", "2", {"message": "locus still nonempty after 2 steps", "round": 0, "steps": 2}),
+        # euclid's lower bound is 2 and its run takes 3 steps; after step 1
+        # the bound of the state reached is 2, so 1 + 2 > 2 refuses it there
+        ("euclid.json", "2", {"message": "locus still nonempty after 1 steps", "round": 0, "steps": 1}),
         # round 0 fits in 3 steps; round 1's lower bound already exceeds them
         ("multi_round.json", "3", {"message": "locus still nonempty after 0 steps", "round": 1, "steps": 0}),
         # a budget below the lower bound is refused before the first step
@@ -205,10 +206,14 @@ def test_negative_budget_exits_2(max_steps, tmp_path, capsys):
 
 def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):
     # u = x^(10^20) needs 10^20 one-point steps and u = x_1, v = x_2^(10^12)
-    # at least 10^12 two-point steps, both far past the default budget
-    for n, presentation in (
-        (2, {"chart": 1, "form": "monomial_free", "u": [10**20], "v": [0]}),
-        (3, {"chart": 1, "form": "monomial_pair", "u": [1, 0], "v": [0, 10**12]}),
+    # at least 10^12 two-point steps, both far past the default budget.  On
+    # u = x_1 x_3^(10^12), v = x_2^(10^12) the large third column hides that
+    # chain from the first bound (2); after one step the bound of the state
+    # reached is 10^12, so the run stops there instead of spinning
+    for n, presentation, steps in (
+        (2, {"chart": 1, "form": "monomial_free", "u": [10**20], "v": [0]}, 0),
+        (3, {"chart": 1, "form": "monomial_pair", "u": [1, 0], "v": [0, 10**12]}, 0),
+        (4, {"chart": 1, "form": "monomial_pair", "u": [1, 0, 10**12], "v": [0, 10**12, 0]}, 1),
     ):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({
@@ -219,7 +224,7 @@ def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):
         assert main(["run", str(big), "-o", str(tmp_path / "t.json")]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "budget"
-        assert report["detail"]["steps"] == 0
+        assert report["detail"]["steps"] == steps
 
 
 def test_classification_failure_exits_4(tmp_path, capsys):

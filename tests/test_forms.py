@@ -108,6 +108,45 @@ def test_negative_entries_rejected():
         monomial_pair((-1, 0), (0, 3), 1)
 
 
+def _shape(form, u_row, v_row, alpha_nonzero=False):
+    return lambda: MonomialPresentation(form, 1, u_row, v_row, alpha_nonzero)
+
+
+# one row per refusal that no other test raises, with its exact message
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: row_rank((1,), (1, 2)), "rows must have equal length"),
+        (lambda: forms.primitive_part((0, 0)), "zero row has no primitive part"),
+        (_shape(Form.MONOMIAL_FREE, (), ()), "monomial_free needs at least one divisor variable"),
+        (
+            _shape(Form.MONOMIAL_FREE, (2,), (1,), True),
+            "monomial_free carries a bare free coordinate, not a unit shift",
+        ),
+        (_shape(Form.NESTED, (2, 2), (1, 1), True), "nested carries no unit factor"),
+        (_shape(Form.MONOMIAL_UNIT, (), (), True), "monomial_unit needs at least one divisor variable"),
+        (_shape(Form.MONOMIAL_UNIT, (2,), (1,)), "monomial_unit requires a nonzero unit shift"),
+        (_shape(Form.POWER_UNIT, (2,), (1,)), "power_unit requires a nonzero unit shift"),
+        (_shape(Form.MONOMIAL_PAIR, (1, 0), (0, 1), True), "monomial_pair carries no unit factor"),
+        (_shape(Form.TRANSVERSE, (1, 0), (0, 1), True), "transverse carries no unit factor"),
+        (
+            _shape(Form.TRANSVERSE_UNIT, (2,), (1,)),
+            "transverse_unit must have u = x_1, v = x_1 * (x_2 + alpha)",
+        ),
+        (
+            _shape(Form.TRANSVERSE_PRODUCT, (1, 0), (0, 1)),
+            "transverse_product must have u = x_1 x_2, v = x_2",
+        ),
+        (_shape(Form.TRANSVERSE_PRODUCT, (1, 1), (0, 1), True), "transverse_product carries no unit factor"),
+        (lambda: power_unit((1,), 0, 1, 1), "power_unit powers must be positive"),
+    ],
+)
+def test_refusal_message(make, message):
+    with pytest.raises(FormError) as info:
+        make()
+    assert str(info.value) == message
+
+
 # -- is_principal -----------------------------------------------------------------
 
 def test_principal_examples():

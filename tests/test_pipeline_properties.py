@@ -112,14 +112,20 @@ def test_final_state_passes_full_validation(scenario):
 @settings(max_examples=40, deadline=None)
 @given(scenarios(max_pair_k=2))
 def test_step_lower_bound_never_exceeds_a_real_run(scenario):
-    bound = step_lower_bound(scenario)
     result = exhaustive_search(
         [e.presentation for e in scenario.entries],
         SearchBound(max_entry=16, max_k=4, max_depth=64),
     )
     final = run(scenario, 256)
-    assert bound <= result.min_depth
-    assert bound <= len(final.history)
+    assert step_lower_bound(scenario) <= result.min_depth
+    # run re-checks the bound on the states it reaches, so it must hold from
+    # every one of them: no more than the steps the run still takes
+    states = [scenario]
+    for _ in final.history:
+        states.append(step(states[-1]))
+    assert states[-1] == final
+    for taken, state in enumerate(states):
+        assert step_lower_bound(state) <= len(final.history) - taken
 
 
 @settings(max_examples=40, deadline=None)

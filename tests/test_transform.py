@@ -230,3 +230,28 @@ def test_center_rejects_bad_indices(indices):
 def test_blowup_rejects_a_center_of_the_wrong_class(p, c):
     with pytest.raises(PermissibilityError):
         blowup(p, c)
+
+
+# each rule refuses a presentation of another form by name
+@pytest.mark.parametrize(
+    "rule, p, c, message",
+    [
+        (
+            blowup_monomial_free, monomial_pair((2, 0), (0, 3), 1), FREE1,
+            "free-coordinate blowup applies to monomial_free, not monomial_pair",
+        ),
+        (
+            blowup_monomial_pair, monomial_free((3,), (1,), 1), Center(1, 2),
+            "pair blowup applies to monomial_pair, not monomial_free",
+        ),
+        (
+            blowup_transverse, monomial_free((3,), (1,), 1), FREE1,
+            "transverse blowup applies to transverse, not monomial_free",
+        ),
+    ],
+    ids=["free", "pair", "transverse"],
+)
+def test_blowup_rule_rejects_another_form(rule, p, c, message):
+    with pytest.raises(PermissibilityError) as info:
+        rule(p, c)
+    assert str(info.value) == message

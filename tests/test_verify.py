@@ -90,6 +90,8 @@ MUTATIONS = {
     "round_duplicated": lambda d: d["rounds"].append(copy.deepcopy(d["rounds"][0])),
     "exponent_nudged": lambda d: d["rounds"][0]["steps"][2]["descendants"][0]["presentation"]["u"].__setitem__(0, 9),
     "principal_flag_flip": lambda d: d["rounds"][0]["steps"][0]["descendants"][1].__setitem__("principal", False),
+    # euclid's pair, initial item 0, recorded as principal
+    "initial_principal_flag_flip": lambda d: d["rounds"][0]["initial"][0].__setitem__("principal", True),
     "chart_flags_flipped": lambda d: d["rounds"][0].__setitem__(
         "charts", [not flag for flag in d["rounds"][0]["charts"]]
     ),
@@ -191,6 +193,7 @@ NAMED = [
     ("transverse_locus_kept", "strict descent", 0, 3, "transverse step did not shrink the locus"),
     ("principal_parent", "persistence", 0, 1, "principal presentation 2 blown up again"),
     ("pair_produced_nested", "closure", 0, 0, "monomial_pair produced nested"),
+    ("initial_principal_flag_flip", "principality", 0, None, "initial presentation 0 mislabelled"),
     ("leaf_not_principal", "final emptiness", 0, None, "leaf 4 is not principal"),
     ("descendant_cites_non_parent", "identity", 0, 0, "descendant 1 cites a non-parent"),
     ("chart_out_of_range", "step chart", 0, 0, "step chart 99 is not one of charts 1..1"),
