@@ -59,7 +59,7 @@ class StepBudgetExceededError(RuntimeError):
     """The run did not, or provably cannot, empty the locus within its step budget."""
 
     def __init__(self, steps: int, scenario: "Scenario") -> None:
-        super().__init__(f"locus still nonempty after {steps} steps")
+        super().__init__(f"locus still nonempty after {steps} step{'' if steps == 1 else 's'}")
         self.steps = steps
         self.scenario = scenario
 

@@ -4,13 +4,16 @@ both ``run`` and the replay go through.
 A trace is accepted only if (a) its recorded data satisfies the descent
 invariants on its own terms -- every non-principal descendant's (largest
 center value, number of centers at it) strictly below its parent's, read
-off the recorded columns by the engine-independent column model that the
+off its parsed columns by the engine-independent column model that the
 oracle's search also runs on; phase maxima that never rise; closed form
 families; persistent principality; empty terminal locus; well-formed
 templates -- and (b) the embedded scenario passes the scenario-file
 schema and :func:`run_rounds`, replayed from it with each round's recorded
 step count as its budget, reproduces every round document whole.  The
 first violated invariant is reported with its round and step index.
+Each recorded presentation is parsed once, on admission, and every check
+reads its ``(principal, presentation)`` ledger entry; the presentation
+document's layout is known to ``scenario_io`` alone.
 
 ``toroidalize verify`` runs these checks before the trace schema, and
 accepts a trace only when the trace :func:`verify_trace` regenerates is
@@ -25,7 +28,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .descent import classify_scenario, reseed
-from .forms import FormError, NoTemplateMatchError, NotPrincipalError, is_principal
+from .forms import Form, FormError, NoTemplateMatchError, NotPrincipalError, is_principal
 from .oracle import RawPoint, raw_measure
 from .principalize import (
     Scenario,
@@ -95,59 +98,55 @@ class VerificationError(ValueError):
 
 
 _CLOSURE = {
-    "monomial_free": {"monomial_free", "nested", "monomial_unit"},
-    "monomial_pair": {"monomial_pair", "power_unit"},
-    "transverse": {"transverse_unit", "transverse_product"},
+    Form.MONOMIAL_FREE: {Form.MONOMIAL_FREE, Form.NESTED, Form.MONOMIAL_UNIT},
+    Form.MONOMIAL_PAIR: {Form.MONOMIAL_PAIR, Form.POWER_UNIT},
+    Form.TRANSVERSE: {Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT},
 }
 
 _PHASE_MAX = {"one_point": "one_point_max", "two_point": "two_point_max"}
-
-
-def _measure(doc: dict) -> tuple[int, int]:
-    """(largest center value, number of centers at it) of a recorded
-    presentation, from its columns; (0, 0) for shapes no center meets."""
-    if doc["form"] not in ("monomial_free", "monomial_pair"):
-        return (0, 0)
-    columns = tuple(zip(doc["u"], doc["v"]))
-    return raw_measure(RawPoint(doc["chart"], columns, doc["form"] == "monomial_free"))
-
-
-def _presentation(doc: dict, charts: tuple[bool, ...], round_index: int, step_index: int | None):
-    try:
-        return presentation_from_doc(doc, charts, "trace")
-    except SchemaError as exc:
-        raise VerificationError(
-            round_index, step_index, "well-formedness", exc.reason
-        ) from exc
+_PHASE_RANK = {"transverse": 1, "one_point": 1, "two_point": 2}
 
 
 def _check_round(round_doc: dict, round_index: int) -> None:
     """Read a recorded round once: initial items, then steps, then leaves.
 
-    ``ledger`` maps every id recorded so far to its item, and ``active``
-    each id still on the worklist to its measure, taken when the item is
-    admitted; a descendant is admitted against its parent's entries in
-    both.  A round passes only if every active item becomes a parent, so
-    each presentation is measured once and every measure is used.
+    Every initial item and every descendant is admitted on one path: its
+    presentation is parsed once (``well-formedness``), its ``principal``
+    label checked, and ``(principal, presentation)`` kept in ``ledger``
+    under its id; an active item also enters ``active``, the map from each
+    id still on the worklist to its (largest center value, count) measure.
+    Persistence, a parent's chart, closure and strict descent all read
+    these entries.  A round passes only if every active item becomes a
+    parent, so each measure is taken once and used.  An active transverse
+    item's measure is never compared: closure and principality reject any
+    non-principal child of a transverse parent first.
     """
     charts = tuple(round_doc["charts"])
-    ledger: dict[int, dict] = {}
+    ledger: dict[int, tuple] = {}  # id -> (principal, presentation)
     active: dict[int, tuple[int, int]] = {}
 
-    for item in round_doc["initial"]:
+    def parse(doc: dict, step_index: int | None):
+        try:
+            return presentation_from_doc(doc, charts, "trace")
+        except SchemaError as exc:
+            raise VerificationError(round_index, step_index, "well-formedness", exc.reason) from exc
+
+    def admit(item: dict, step_index: int | None, what: str):
         pid = item["id"]
-        p = _presentation(item["presentation"], charts, round_index, None)
-        if is_principal(p) != item["principal"]:
-            raise VerificationError(
-                round_index, None, "principality", f"initial presentation {pid} mislabelled"
-            )
-        ledger[pid] = item
-        if not item["principal"]:
-            active[pid] = _measure(item["presentation"])
+        p = parse(item["presentation"], step_index)
+        principal = item["principal"]
+        if is_principal(p) != principal:
+            raise VerificationError(round_index, step_index, "principality", f"{what} {pid} mislabelled")
+        ledger[pid] = (principal, p)
+        if not principal:
+            active[pid] = raw_measure(RawPoint(p.chart_index, p.columns(), p.form is Form.MONOMIAL_FREE))
+        return p
+
+    for item in round_doc["initial"]:
+        admit(item, None, "initial presentation")
 
     last_chart = 0
-    chart_phase_rank: dict[int, int] = {}
-    phase_rank = {"transverse": 1, "one_point": 1, "two_point": 2}
+    floor = 1  # the lowest phase rank the current chart may still take
 
     for step_doc in round_doc["steps"]:
         idx = step_doc["index"]
@@ -158,7 +157,8 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             raise VerificationError(
                 round_index, idx, "chart order", f"chart fell from {last_chart} to {chart}"
             )
-        last_chart = chart
+        if chart != last_chart:
+            last_chart, floor = chart, 1
         if not 1 <= chart <= len(charts):
             raise VerificationError(
                 round_index, idx, "step chart",
@@ -168,12 +168,12 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             raise VerificationError(
                 round_index, idx, "phase", f"phase {phase} contradicts chart {chart}'s base point"
             )
-        rank = phase_rank[phase]
-        if rank < chart_phase_rank.get(chart, 1):
+        rank = _PHASE_RANK[phase]
+        if rank < floor:
             raise VerificationError(
                 round_index, idx, "phase order", "1-point phase resumed after 2-point phase"
             )
-        chart_phase_rank[chart] = rank
+        floor = rank
 
         before, after = step_doc["before"], step_doc["after"]
         if phase in _PHASE_MAX:
@@ -200,7 +200,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
         parent_ids = {parent["id"] for parent in step_doc["parents"]}
         for parent in step_doc["parents"]:
             pid = parent["id"]
-            if pid in ledger and ledger[pid]["principal"]:
+            if pid in ledger and ledger[pid][0]:
                 raise VerificationError(
                     round_index, idx, "persistence", f"principal presentation {pid} blown up again"
                 )
@@ -208,7 +208,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
                 raise VerificationError(
                     round_index, idx, "worklist", f"parent {pid} is not an active presentation"
                 )
-            parent_chart = ledger[pid]["presentation"]["chart"]
+            parent_chart = ledger[pid][1].chart_index
             if parent_chart != chart:
                 raise VerificationError(
                     round_index, idx, "step chart",
@@ -220,31 +220,22 @@ def _check_round(round_doc: dict, round_index: int) -> None:
                 raise VerificationError(
                     round_index, idx, "identity", f"descendant id {did} reused"
                 )
-            if desc["parent"] not in parent_ids:
+            parent_id = desc["parent"]
+            if parent_id not in parent_ids:
                 raise VerificationError(
                     round_index, idx, "identity", f"descendant {did} cites a non-parent"
                 )
-            p = _presentation(desc["presentation"], charts, round_index, idx)
-            if is_principal(p) != desc["principal"]:
+            child = admit(desc, idx, "descendant")
+            parent = ledger[parent_id][1]
+            if child.form not in _CLOSURE.get(parent.form, ()):
                 raise VerificationError(
-                    round_index, idx, "principality", f"descendant {did} mislabelled"
+                    round_index, idx, "closure", f"{parent.form.value} produced {child.form.value}"
                 )
-            parent_doc, child_doc = ledger[desc["parent"]]["presentation"], desc["presentation"]
-            if child_doc["form"] not in _CLOSURE.get(parent_doc["form"], ()):
-                raise VerificationError(
-                    round_index, idx, "closure", f"{parent_doc['form']} produced {child_doc['form']}"
-                )
-            ledger[did] = desc
-            if desc["principal"]:
-                continue
-            measure = _measure(child_doc)
-            parent_measure = active[desc["parent"]]
-            if not measure < parent_measure:
+            if did in active and not active[did] < active[parent_id]:
                 raise VerificationError(
                     round_index, idx, "strict descent",
-                    f"descendant {did} measure {measure} not below its parent's {parent_measure}",
+                    f"descendant {did} measure {active[did]} not below its parent's {active[parent_id]}",
                 )
-            active[did] = measure
         for pid in parent_ids:
             del active[pid]
 
@@ -253,8 +244,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
         if leaf["id"] in leaf_ids:
             raise VerificationError(round_index, None, "identity", f"leaf id {leaf['id']} repeated")
         leaf_ids[leaf["id"]] = None
-        p = _presentation(leaf["presentation"], charts, round_index, None)
-        if not is_principal(p):
+        if not is_principal(parse(leaf["presentation"], None)):
             raise VerificationError(
                 round_index, None, "final emptiness", f"leaf {leaf['id']} is not principal"
             )
@@ -262,7 +252,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
         raise VerificationError(
             round_index, None, "final emptiness", f"active presentations remain: {sorted(active)}"
         )
-    if leaf_ids.keys() != {pid for pid, item in ledger.items() if item["principal"]}:
+    if leaf_ids.keys() != {pid for pid, (principal, _) in ledger.items() if principal}:
         raise VerificationError(
             round_index, None, "identity", "leaf ids disagree with accumulated principal ids"
         )

@@ -176,7 +176,7 @@ def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     [
         # euclid's lower bound is 2 and its run takes 3 steps; after step 1
         # the bound of the state reached is 2, so 1 + 2 > 2 refuses it there
-        ("euclid.json", "2", {"message": "locus still nonempty after 1 steps", "round": 0, "steps": 1}),
+        ("euclid.json", "2", {"message": "locus still nonempty after 1 step", "round": 0, "steps": 1}),
         # round 0 fits in 3 steps; round 1's lower bound already exceeds them
         ("multi_round.json", "3", {"message": "locus still nonempty after 0 steps", "round": 1, "steps": 0}),
         # a budget below the lower bound is refused before the first step

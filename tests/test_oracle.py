@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from toroidalize import oracle
 from toroidalize.cli import main
-from toroidalize.forms import Form, monomial_free, monomial_pair, transverse
+from toroidalize.forms import Form, is_principal, monomial_free, monomial_pair, transverse
 from toroidalize.oracle import (
     BoundExceededError,
     RawPoint,
@@ -21,8 +21,9 @@ from toroidalize.oracle import (
     oracle_principal,
     oracle_rank,
     raw_centers,
+    raw_measure,
 )
-from toroidalize.verify import _measure
+from toroidalize.scenario_io import SchemaError, presentation_from_doc
 
 from conftest import free_presentations, pair_presentations
 
@@ -241,10 +242,17 @@ def test_column_model_matches_the_models_it_replaced(pt, state, form):
             assert _tables_apply(oracle._Tables(), applied, sig) == _spec_apply(applied, sig)
             assert _tables_apply(shared, applied, sig) == _spec_apply(applied, sig)
 
+    # verify's strict descent measures an active item once it is parsed
     u, v = [a for a, _ in pt.cols], [b for _, b in pt.cols]
     free_doc = {"form": "monomial_free" if pt.v_free else "monomial_pair", "chart": 1, "u": u, "v": v}
     for doc in (free_doc, {**free_doc, "form": form}):
-        assert _measure(doc) == _spec_measure(doc)
+        try:
+            p = presentation_from_doc(doc, (True,), "trace")
+        except SchemaError:
+            continue
+        if not is_principal(p):
+            measured = raw_measure(RawPoint(p.chart_index, p.columns(), p.form is Form.MONOMIAL_FREE))
+            assert measured == _spec_measure(doc)
 
 
 # -- the search against the recursion it replaced ------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from toroidalize import scenario_io
 from toroidalize.cli import main
 from toroidalize.scenario_io import SchemaError, canonical_dumps, check_schema, load_trace
-from toroidalize.verify import VerificationError, same_json, verify_trace
+from toroidalize.verify import VerificationError, _check_round, same_json, verify_trace
 
 from conftest import reference_dumps
 
@@ -224,6 +224,59 @@ def test_replay_side_mutation_names_its_invariant(
     assert message in str(info.value)
 
 
+# The recorded checks alone, without the embedded scenario's schema check or
+# the replay: (invariant, round, step) of the first violation, or "passes"
+# where only those two reject the row.  Every MUTATIONS row needs an entry.
+RECORDED_ALONE = {
+    "chart_flags_flipped": ("well-formedness", 0, None),
+    "chart_order_fell": ("chart order", 0, 5),
+    "chart_out_of_range": ("step chart", 0, 0),
+    "classification_dropped": ("classification", 0, None),
+    "classification_reordered": ("classification", 0, None),
+    "descendant_cites_non_parent": ("identity", 0, 0),
+    "descendant_id_reuse": ("identity", 0, 1),
+    "duplicated_leaf": ("identity", 0, None),
+    "embedded_scenario_longer": "passes",
+    "embedded_scenario_name_type": "passes",
+    "embedded_scenario_unknown_key": "passes",
+    "embedded_scenario_version": "passes",
+    "empty_step_appended": "passes",
+    "exponent_nudged": "passes",
+    "initial_exponent_raised": "passes",
+    "initial_principal_flag_flip": ("principality", 0, None),
+    "leaf_not_principal": ("final emptiness", 0, None),
+    "note_tampered": "passes",
+    "one_point_after_two_point": ("phase order", 0, 1),
+    "pair_produced_nested": ("closure", 0, 0),
+    "phase_against_chart": ("phase", 0, 0),
+    "phase_lie": ("phase policy", 0, 0),
+    "principal_flag_flip": ("principality", 0, 0),
+    "principal_parent": ("persistence", 0, 1),
+    "round_duplicated": "passes",
+    "round_index_lie": "passes",
+    "step_chart_not_parents": ("step chart", 0, 0),
+    "step_chart_zero": ("step chart", 0, 0),
+    "summary_lie": "passes",
+    "target_value_lie": ("phase policy", 0, 0),
+    "transverse_locus_kept": ("strict descent", 0, 3),
+    "unknown_parent": ("worklist", 0, 0),
+    "unused_chart_flag_flipped": "passes",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_recorded_checks_alone_verdict(base_traces, name):
+    doc = mutated(base_traces, name)
+    try:
+        for round_index, round_doc in enumerate(doc["rounds"]):
+            _check_round(round_doc, round_index)
+    except VerificationError as exc:
+        got = (exc.invariant, exc.round_index, exc.step_index)
+    else:
+        got = "passes"
+    assert got == RECORDED_ALONE[name]
+
+
 def test_flipped_chart_flags_fail_well_formedness(base_traces):
     # the recorded presentations no longer fit their charts' flags: the
     # chart check at the input boundary rejects them before any step check
@@ -344,6 +397,12 @@ PINNED = {
     # the schema's integer admits -0.0, and its minimum of 0 too
     "step_index_as_negative_zero": (
         lambda d: _first_step(d).__setitem__("index", -0.0), 0, '"status": "ok"'
+    ),
+    # the parent-chart check compares the int the chart names
+    "initial_chart_as_float": (
+        lambda d: d["rounds"][0]["initial"][0]["presentation"].__setitem__("chart", 1.0),
+        0,
+        '"status": "ok"',
     ),
     # the row check refuses the float before any comparison
     "big_exponent_as_float": (
