@@ -132,13 +132,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Accept a trace when the checks pass and its regeneration is
-    ``same_json`` as the trace read: one type-strict walk, so ``1``,
-    ``1.0`` and ``true`` differ, as they would in sorted-key dumps.  The
-    regeneration holds no float outside the read trace's own ``scenario``,
-    so for it the walk says "equal" exactly when those dumps would agree;
-    the trace is then what ``run`` writes, and that passes the trace
-    schema.  Only otherwise run the full trace schema, whose error is
-    reported ahead of whatever the checks raised.
+    ``same_json`` as the trace read (whose docstring says why the trace
+    schema may then be skipped).  Only otherwise run the full trace
+    schema, whose error is reported ahead of whatever the checks raised.
     """
     trace = read_trace(args.trace)
     try:

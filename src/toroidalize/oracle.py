@@ -30,22 +30,20 @@ from .forms import Form, MonomialPresentation
 class BoundExceededError(RuntimeError):
     """Some search path outran the depth bound; carries the offending path."""
 
-    def __init__(self, path: tuple, message: str | None = None) -> None:
-        super().__init__(message or f"search path of length {len(path)} exceeds the depth bound")
+    def __init__(self, path: tuple) -> None:
+        super().__init__(f"search path of length {len(path)} exceeds the depth bound")
         self.path = path
 
 
-def oracle_principal(
-    u_row: Iterable[int], v_row: Iterable[int], u_free: bool = False, v_free: bool = False
-) -> bool:
-    """Principality of (x^u [* y], x^v [* z]) by direct divisibility.
+def oracle_principal(u_row: Iterable[int], v_row: Iterable[int], v_free: bool = False) -> bool:
+    """Principality of (x^u, x^v [* y]) by direct divisibility.
 
-    Appends one extra column per free factor and checks whether either
-    extended generator divides the other componentwise.  A two-generator
-    monomial ideal is principal exactly in that case.
+    Appends one extra column for the free factor y and checks whether
+    either extended generator divides the other componentwise.  A
+    two-generator monomial ideal is principal exactly in that case.
     """
-    u_ext = tuple(u_row) + (1 if u_free else 0, 0)
-    v_ext = tuple(v_row) + (0, 1 if v_free else 0)
+    u_ext = tuple(u_row) + (0,)
+    v_ext = tuple(v_row) + (1 if v_free else 0,)
     if len(u_ext) != len(v_ext):
         raise ValueError("rows must have equal length")
     return all(a <= b for a, b in zip(u_ext, v_ext)) or all(

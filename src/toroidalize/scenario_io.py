@@ -441,25 +441,20 @@ def presentation_to_doc(p: MonomialPresentation) -> dict:
     return doc
 
 
-# Shapes stored as their two exponent rows.
-_ROW_FORMS = {
-    Form.MONOMIAL_FREE: forms.monomial_free,
-    Form.NESTED: forms.nested,
-    Form.MONOMIAL_UNIT: forms.monomial_unit,
-    Form.MONOMIAL_PAIR: forms.monomial_pair,
-}
-
-
 # A dict lookup hashes in C; ``Form(name)`` goes through ``EnumType.__call__``.
 _FORMS = {form._value_: form for form in Form}
 
 
 def _chart_from_doc(value, charts: tuple[bool, ...], path: str) -> int:
-    # The schema admits an integral float such as 1.0 as an integer: read the int it names.
-    chart = int(value)
-    if chart > len(charts):
-        raise SchemaError(path, f"chart {chart} not declared (only {len(charts)})")
-    return chart
+    # A plain int passes on one test; any other value takes the schema's rule,
+    # which reads an integral float such as 1.0 as the int it names.
+    if type(value) is not int:
+        if not _TYPES["integer"](value):
+            raise SchemaError(path, f"{value!r} is not of type 'integer'")
+        value = int(value)
+    if value > len(charts):
+        raise SchemaError(path, f"chart {value} not declared (only {len(charts)})")
+    return value
 
 
 def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> MonomialPresentation:
@@ -477,8 +472,10 @@ def presentation_from_doc(doc: dict, charts: tuple[bool, ...], path: str) -> Mon
             p = forms.transverse_unit(chart, doc.get("alpha_nonzero", False))
         elif form is Form.TRANSVERSE_PRODUCT:
             p = forms.transverse_product(chart)
-        else:
-            p = _ROW_FORMS[form](tuple(doc["u"]), tuple(doc["v"]), chart)
+        else:  # a shape stored as its two exponent rows
+            p = MonomialPresentation(
+                form, chart, tuple(doc["u"]), tuple(doc["v"]), form is Form.MONOMIAL_UNIT
+            )
         # After construction, so a malformed shape is reported first.
         check_chart(form, charts[chart - 1])
     except FormError as exc:

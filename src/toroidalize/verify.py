@@ -17,10 +17,8 @@ document's layout is known to ``scenario_io`` alone.
 
 ``toroidalize verify`` runs these checks before the trace schema, and
 accepts a trace only when the trace :func:`verify_trace` regenerates is
-:func:`same_json` as the one it read: one type-strict walk, which says
-"equal" exactly when the two would dump to the same sorted-key JSON, since
-the regenerated trace holds no float of its own.  Only when the walk says
-"different" does the full trace schema run.
+:func:`same_json` as the one it read; only otherwise does the full trace
+schema run.  :func:`same_json` says why that keeps every verdict.
 """
 
 from __future__ import annotations
@@ -103,8 +101,13 @@ _CLOSURE = {
     Form.TRANSVERSE: {Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT},
 }
 
-_PHASE_MAX = {"one_point": "one_point_max", "two_point": "two_point_max"}
-_PHASE_RANK = {"transverse": 1, "one_point": 1, "two_point": 2}
+# Each trace phase's rank in a chart's phase order and the ``before`` and
+# ``after`` key of its maximum; a transverse step shrinks the locus instead.
+_PHASES = {
+    "transverse": (1, None),
+    "one_point": (1, "one_point_max"),
+    "two_point": (2, "two_point_max"),
+}
 
 
 def _check_round(round_doc: dict, round_index: int) -> None:
@@ -168,7 +171,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
             raise VerificationError(
                 round_index, idx, "phase", f"phase {phase} contradicts chart {chart}'s base point"
             )
-        rank = _PHASE_RANK[phase]
+        rank, max_key = _PHASES[phase]
         if rank < floor:
             raise VerificationError(
                 round_index, idx, "phase order", "1-point phase resumed after 2-point phase"
@@ -176,8 +179,7 @@ def _check_round(round_doc: dict, round_index: int) -> None:
         floor = rank
 
         before, after = step_doc["before"], step_doc["after"]
-        if phase in _PHASE_MAX:
-            max_key = _PHASE_MAX[phase]
+        if max_key is not None:
             if after[max_key] > before[max_key]:
                 raise VerificationError(
                     round_index, idx, "strict descent",
@@ -321,8 +323,8 @@ def verify_trace(trace: dict) -> dict:
 
     Otherwise return the trace its embedded scenario regenerates: that
     scenario document, the replayed round documents and their summary.
-    ``trace`` need not have passed the trace schema; if it has not, other
-    exceptions than :class:`VerificationError` may escape.
+    ``trace`` need not have passed the trace schema: a node of the wrong
+    type or a dangling reference is reported as a violation too.
     """
     try:
         for round_index, round_doc in enumerate(trace["rounds"]):
@@ -361,9 +363,11 @@ def same_json(a, b) -> bool:
     - :func:`verify_trace`'s regenerated trace is such an ``a``: its own
       nodes hold only dicts, lists, str, int, bool and None, and its
       ``scenario`` is the read trace's own object.
-    - Were the walk ever to say "different" where the dumps agree, ``verify``
-      would only run the trace schema, which every trace ``run`` writes
-      passes.
+    - So a trace that ``verify`` finds ``same_json`` as its regeneration is,
+      up to whitespace, one that ``run`` writes, and every such trace
+      passes the trace schema: skipping the schema there changes no
+      verdict.  Were the walk ever to say "different" where the dumps
+      agree, ``verify`` would only run the trace schema.
 
     It recurses as deep as ``a`` nests.
     """

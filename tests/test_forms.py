@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroidalize import descent, forms, scenario_io, transform
+from toroidalize import descent, forms, transform
 from toroidalize.forms import (
     DIVISORIAL_FORMS,
     Form,
@@ -345,7 +345,6 @@ DISPATCH_TABLES = {
     "forms.DIVISORIAL_FORMS": DIVISORIAL_FORMS,
     "descent.TEMPLATES": descent.TEMPLATES,
     "transform._BLOWUPS": transform._BLOWUPS,
-    "scenario_io._ROW_FORMS": scenario_io._ROW_FORMS,
 }
 
 

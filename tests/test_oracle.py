@@ -45,10 +45,6 @@ def test_oracle_principal_free_factor_blocks():
     assert oracle_principal((1,), (3,), v_free=True) is True
 
 
-def test_oracle_principal_free_on_both_sides():
-    assert oracle_principal((1, 0), (0, 1), u_free=True, v_free=True) is False
-
-
 def test_oracle_rank():
     assert oracle_rank((2, 0), (0, 3)) == 2
     assert oracle_rank((2, 4), (1, 2)) == 1

@@ -123,6 +123,8 @@ MUTATIONS = {
     "step_chart_zero": lambda d: _steps(d)[0].__setitem__("chart", 0),
     # a declared chart, but the parent (euclid's pair) lies in chart 1
     "step_chart_not_parents": lambda d: _steps(d)[0].__setitem__("chart", 2),
+    # euclid's first step is a 2-point step
+    "two_point_with_one_points_left": lambda d: _steps(d)[0]["before"].__setitem__("one_point_max", 1),
 }
 
 # the trace each mutation edits, when it is not euclid's
@@ -190,6 +192,10 @@ NAMED = [
     ("chart_order_fell", "chart order", 0, 5, "chart fell from 3 to 1"),
     ("phase_against_chart", "phase", 0, 0, "phase transverse contradicts chart 1's base point"),
     ("one_point_after_two_point", "phase order", 0, 1, "1-point phase resumed after 2-point phase"),
+    (
+        "two_point_with_one_points_left", "phase order", 0, 0,
+        "2-point phase ran with 1-points remaining",
+    ),
     ("transverse_locus_kept", "strict descent", 0, 3, "transverse step did not shrink the locus"),
     ("principal_parent", "persistence", 0, 1, "principal presentation 2 blown up again"),
     ("pair_produced_nested", "closure", 0, 0, "monomial_pair produced nested"),
@@ -259,6 +265,7 @@ RECORDED_ALONE = {
     "summary_lie": "passes",
     "target_value_lie": ("phase policy", 0, 0),
     "transverse_locus_kept": ("strict descent", 0, 3),
+    "two_point_with_one_points_left": ("phase order", 0, 0),
     "unknown_parent": ("worklist", 0, 0),
     "unused_chart_flag_flipped": "passes",
 }
@@ -285,6 +292,20 @@ def test_flipped_chart_flags_fail_well_formedness(base_traces):
         verify_trace(doc)
     assert info.value.invariant == "well-formedness"
     assert info.value.step_index is None
+
+
+@pytest.mark.parametrize("chart", ["1", 1.5, True, math.inf], ids=repr)
+def test_recorded_chart_that_is_no_integer_fails_well_formedness(base_trace, chart):
+    # the recorded checks alone read a chart by the schema's integer rule,
+    # before any int() call: no "1" read as 1, no OverflowError on inf
+    doc = copy.deepcopy(base_trace)
+    doc["rounds"][0]["initial"][0]["presentation"]["chart"] = chart
+    with pytest.raises(VerificationError) as info:
+        _check_round(doc["rounds"][0], 0)
+    assert (info.value.invariant, info.value.round_index, info.value.step_index) == (
+        "well-formedness", 0, None,
+    )
+    assert str(info.value).endswith(f"{chart!r} is not of type 'integer'")
 
 
 def test_replay_template_failure_is_reported_as_classification(tmp_path, capsys):
@@ -404,6 +425,17 @@ PINNED = {
         0,
         '"status": "ok"',
     ),
+    # the trace schema refuses both first; the recorded checks would too
+    "initial_chart_as_string": (
+        lambda d: d["rounds"][0]["initial"][0]["presentation"].__setitem__("chart", "1"),
+        2,
+        '"path": "$.rounds[0].initial[0].presentation.chart"',
+    ),
+    "initial_chart_as_infinity": (
+        lambda d: d["rounds"][0]["initial"][0]["presentation"].__setitem__("chart", math.inf),
+        2,
+        '"path": "$.rounds[0].initial[0].presentation.chart"',
+    ),
     # the row check refuses the float before any comparison
     "big_exponent_as_float": (
         lambda d: d["rounds"][0]["initial"][0]["presentation"]["u"].__setitem__(0, float(2**60)),
@@ -496,6 +528,48 @@ def test_one_node_edit_keeps_the_schema_first_verdict(fuzz_traces, data):
         check_schema(doc, "trace.schema.json")
     except SchemaError:
         assert got[0] == 2
+
+
+# each scalar outside the embedded scenario is replaced by each of these in turn
+SWEEP_VALUES = ["1", 1.5, math.inf, math.nan, True, None, -1, 10**30, [], {}]
+_DROP = object()
+
+
+def _sweep_edits(doc):
+    """(path, value) for every one-node edit of ``doc`` outside its
+    ``scenario``: each dict key dropped (value ``_DROP``) and each scalar
+    replaced by each of ``SWEEP_VALUES``."""
+    for path in _node_paths(doc):
+        if not path or path[0] == "scenario":
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict):
+            yield path, _DROP
+        if not isinstance(parent[path[-1]], (dict, list)):
+            for value in SWEEP_VALUES:
+                yield path, value
+
+
+def test_verify_trace_raises_only_verification_errors(base_trace):
+    escaped = []
+    for path, value in _sweep_edits(base_trace):
+        doc = copy.deepcopy(base_trace)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        try:
+            verify_trace(doc)
+        except VerificationError:
+            pass
+        except Exception as exc:  # collected, so every escape is named
+            escaped.append((path, value, f"{type(exc).__name__}: {exc}"))
+    assert escaped == []
 
 
 # -- same_json against the sorted-key dumps it stands in for -----------------------
