@@ -31,9 +31,6 @@ from .transform import (
     DescendantSet,
     PermissibilityError,
     blowup,
-    blowup_monomial_free,
-    blowup_monomial_pair,
-    blowup_transverse,
 )
 from .principalize import (
     NoCenterError,

@@ -183,9 +183,8 @@ def classify_scenario(
     extra_branch_charts: frozenset[int] = frozenset(),
     branch_overrides: dict[int, int] | None = None,
 ) -> list[ClassifiedLeaf]:
-    """Lift and globally classify every leaf of a principalized scenario."""
-    if scenario.locus():
-        raise NotPrincipalError("scenario still has non-principal presentations")
+    """Lift and globally classify every leaf of a principalized scenario
+    (:func:`lift` refuses a non-principal one)."""
     overrides = branch_overrides or {}
     leaves: list[ClassifiedLeaf] = []
     for entry in scenario.entries:

@@ -330,6 +330,9 @@ def power_unit(base, power_u: int, power_v: int, chart_index: int) -> MonomialPr
         raise FormError("power_unit base entries must all be positive")
     if primitive_part(base)[1] != 1:
         raise FormError("power_unit base must be primitive")
+    for power in (power_u, power_v):
+        if not isinstance(power, int) or isinstance(power, bool):
+            raise FormError(f"power_unit powers must be integers, got {power!r}")
     if power_u < 1 or power_v < 1:
         raise FormError("power_unit powers must be positive")
     return power_unit_from_rows(

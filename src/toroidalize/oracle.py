@@ -36,19 +36,12 @@ class BoundExceededError(RuntimeError):
 
 
 def oracle_principal(u_row: Iterable[int], v_row: Iterable[int], v_free: bool = False) -> bool:
-    """Principality of (x^u, x^v [* y]) by direct divisibility.
-
-    Appends one extra column for the free factor y and checks whether
-    either extended generator divides the other componentwise.  A
-    two-generator monomial ideal is principal exactly in that case.
-    """
-    u_ext = tuple(u_row) + (0,)
-    v_ext = tuple(v_row) + (1 if v_free else 0,)
-    if len(u_ext) != len(v_ext):
+    """Principality of (x^u, x^v [* y]) by the column model's rule
+    (:func:`_raw_principal`) on the columns of the two rows."""
+    u, v = tuple(u_row), tuple(v_row)
+    if len(u) != len(v):
         raise ValueError("rows must have equal length")
-    return all(a <= b for a, b in zip(u_ext, v_ext)) or all(
-        b <= a for a, b in zip(u_ext, v_ext)
-    )
+    return _raw_principal(RawPoint(1, tuple(zip(u, v)), v_free))
 
 
 def oracle_rank(u_row: Iterable[int], v_row: Iterable[int]) -> int:
@@ -144,8 +137,8 @@ def raw_blowup(pt: RawPoint, positions: tuple[int, ...]) -> tuple[RawPoint, RawP
 
 
 def _raw_principal(pt: RawPoint) -> bool:
-    # oracle_principal on the point's rows: x^u divides x^v [* y] columnwise,
-    # or x^v divides x^u when v carries no free factor.
+    # Principal exactly when one generator divides the other: x^u divides
+    # x^v [* y] columnwise, or x^v divides x^u when v carries no free factor.
     u_divides = v_divides = True
     for a, b in pt.cols:
         if a > b:

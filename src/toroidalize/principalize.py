@@ -217,10 +217,14 @@ def _validate(n: int, charts: tuple[bool, ...], roots: tuple[Entry, ...], next_i
         seen.add(entry.id)
         if entry.id >= next_id:
             raise FormError("next_id must exceed every existing id")
-        _check_entry(entry, is_principal(entry.presentation), n, charts)
+        _check_entry(entry, n, charts)
+        if entry.active == is_principal(entry.presentation):
+            raise FormError(
+                f"presentation {entry.id} has active={entry.active} but principality says otherwise"
+            )
 
 
-def _check_entry(entry: Entry, principal: bool, n: int, charts: tuple[bool, ...]) -> None:
+def _check_entry(entry: Entry, n: int, charts: tuple[bool, ...]) -> None:
     p = entry.presentation
     idx = p.chart_index
     if idx > len(charts):
@@ -230,10 +234,6 @@ def _check_entry(entry: Entry, principal: bool, n: int, charts: tuple[bool, ...]
     except FormError as exc:
         raise FormError(f"presentation {entry.id}: {exc}") from exc
     _check_dimension(p, n, entry.id)
-    if entry.active == principal:
-        raise FormError(
-            f"presentation {entry.id} has active={entry.active} but principality says otherwise"
-        )
 
 
 def _check_dimension(p: MonomialPresentation, n: int, pid: int) -> None:
@@ -310,7 +310,7 @@ def step(scenario: Scenario) -> Scenario:
         for point, child in zip(_POINTS, children, strict=True):
             principal = is_principal(child)
             new_entry = Entry(next_id, child, not principal, pid, point)
-            _check_entry(new_entry, principal, n, charts)
+            _check_entry(new_entry, n, charts)
             descendants.append(new_entry)
             if not principal:
                 born_active.append((next_id, child))

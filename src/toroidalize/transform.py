@@ -83,7 +83,7 @@ def _bump(row: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
     return row[: i - 1] + (row[i - 1] + by,) + row[i:]
 
 
-def blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
+def _blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
     """Blow up x_i = y = 0 on u = x^a, v = x^b * y (requires b_i < a_i).
 
     The first chart substitutes y = x_i (y' + alpha): v gains one power of
@@ -92,9 +92,7 @@ def blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
     substitutes x_i = x_i' y: both coordinates now cut the divisor, with
     columns (a_i, b_i + 1) and (a_i, b_i), and v divides u strictly.
     """
-    if p.form is not Form.MONOMIAL_FREE:
-        raise PermissibilityError(f"free-coordinate blowup applies to monomial_free, not {p.form.value}")
-    if c.j is not None or not (1 <= c.i <= p.k):
+    if c.j is not None or c.i > p.k:
         raise PermissibilityError(f"center {c} is not a free-coordinate center of this presentation")
     i = c.i
     a_i, b_i = p.column(i)
@@ -107,7 +105,7 @@ def blowup_monomial_free(p: MonomialPresentation, c: Center) -> DescendantSet:
     return DescendantSet((a_origin, a_generic, b_origin))
 
 
-def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
+def _blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
     """Blow up x_i = x_j = 0 on u = x^a, v = x^b (requires (a_i-b_i)(b_j-a_j) > 0).
 
     Both monomial charts add the center columns together: the first chart
@@ -117,9 +115,7 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
     is again a rank-2 pair, or degenerates to a power pair when the
     surviving matrix has rank < 2.
     """
-    if p.form is not Form.MONOMIAL_PAIR:
-        raise PermissibilityError(f"pair blowup applies to monomial_pair, not {p.form.value}")
-    if c.j is None or not (1 <= c.i <= p.k) or not (1 <= c.j <= p.k):
+    if c.j is None or c.i > p.k or c.j > p.k:
         raise PermissibilityError(f"center {c} is not a pair center of this presentation")
     i, j = c.i, c.j
     a_i, b_i = p.column(i)
@@ -142,15 +138,13 @@ def blowup_monomial_pair(p: MonomialPresentation, c: Center) -> DescendantSet:
     return DescendantSet((a_origin, a_generic, b_origin))
 
 
-def blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:
+def _blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:
     """Blow up x_1 = x_2 = 0 on a transverse pair u = x_1, v = x_2.
 
     Every descendant is principal: the first chart gives v = u (x_2 + alpha)
     for some alpha (zero at the origin, nonzero generically), the second
     gives u = x_1 x_2, v = x_2.
     """
-    if p.form is not Form.TRANSVERSE:
-        raise PermissibilityError(f"transverse blowup applies to transverse, not {p.form.value}")
     if c.j is not None or c.i != 1:
         raise PermissibilityError(f"center {c} is not the transverse center x_1 = x_2 = 0")
     return DescendantSet(
@@ -163,14 +157,15 @@ def blowup_transverse(p: MonomialPresentation, c: Center) -> DescendantSet:
 
 
 _BLOWUPS = {
-    Form.MONOMIAL_FREE: blowup_monomial_free,
-    Form.MONOMIAL_PAIR: blowup_monomial_pair,
-    Form.TRANSVERSE: blowup_transverse,
+    Form.MONOMIAL_FREE: _blowup_monomial_free,
+    Form.MONOMIAL_PAIR: _blowup_monomial_pair,
+    Form.TRANSVERSE: _blowup_transverse,
 }
 
 
 def blowup(p: MonomialPresentation, c: Center) -> DescendantSet:
-    """Apply the blowup rule for p's form, or fail if no center can pass through it."""
+    """Apply the blowup rule for p's form, or fail if no center can pass
+    through it.  The rules are reached only from here and trust p's form."""
     rule = _BLOWUPS.get(p.form)
     if rule is None:
         raise PermissibilityError(

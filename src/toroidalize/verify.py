@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .descent import classify_scenario, reseed
-from .forms import Form, FormError, NoTemplateMatchError, NotPrincipalError, is_principal
+from .forms import Form, FormError, NoTemplateMatchError, is_principal
 from .oracle import RawPoint, raw_measure
 from .principalize import (
     Scenario,
@@ -81,7 +81,7 @@ def run_rounds(
             raise RoundError(round_index, "budget", exc) from exc
         try:
             leaves = classify_scenario(final, plan.extra_branch_charts, dict(plan.branch_overrides))
-        except (NoTemplateMatchError, NotPrincipalError, FormError) as exc:
+        except (NoTemplateMatchError, FormError) as exc:
             raise RoundError(round_index, "classification", exc) from exc
         yield round_to_doc(round_index, current, final, leaves)
 
@@ -118,11 +118,12 @@ def _check_round(round_doc: dict, round_index: int) -> None:
     label checked, and ``(principal, presentation)`` kept in ``ledger``
     under its id; an active item also enters ``active``, the map from each
     id still on the worklist to its (largest center value, count) measure.
-    Persistence, a parent's chart, closure and strict descent all read
-    these entries.  A round passes only if every active item becomes a
-    parent, so each measure is taken once and used.  An active transverse
-    item's measure is never compared: closure and principality reject any
-    non-principal child of a transverse parent first.
+    Persistence, the step chart (each parent lies in it, each descendant in
+    its parent's chart), closure and strict descent all read these entries.
+    A round passes only if every active item becomes a parent, so each
+    measure is taken once and used.  An active transverse item's measure is
+    never compared: closure and principality reject any non-principal child
+    of a transverse parent first.
     """
     charts = tuple(round_doc["charts"])
     ledger: dict[int, tuple] = {}  # id -> (principal, presentation)
@@ -229,6 +230,12 @@ def _check_round(round_doc: dict, round_index: int) -> None:
                 )
             child = admit(desc, idx, "descendant")
             parent = ledger[parent_id][1]
+            if child.chart_index != parent.chart_index:
+                raise VerificationError(
+                    round_index, idx, "step chart",
+                    f"descendant {did} lies in chart {child.chart_index}, "
+                    f"not in its parent's chart {parent.chart_index}",
+                )
             if child.form not in _CLOSURE.get(parent.form, ()):
                 raise VerificationError(
                     round_index, idx, "closure", f"{parent.form.value} produced {child.form.value}"

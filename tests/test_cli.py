@@ -3,8 +3,10 @@ import copy
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -317,11 +319,20 @@ def _one_chart(on_divisor, presentation, **extra):
                 "message": "chart 2 not declared (only 1)",
             },
         ),
+        (
+            # the schema's integer rule takes 2.0, but a power is no chart:
+            # power_unit refuses it by name
+            _one_chart(
+                True, {"chart": 1, "form": "power_unit", "base": [1], "power_u": 2.0, "power_v": 3}
+            ),
+            2, "schema",
+            {"path": "$.presentations[0]", "message": "power_unit powers must be integers, got 2.0"},
+        ),
     ],
     ids=[
         "pair_off_divisor", "transverse_on_divisor", "override_below_chart_branches",
         "columns_past_n", "followup_chart_count", "extra_branch_chart_undeclared",
-        "followup_extra_branch_chart_undeclared",
+        "followup_extra_branch_chart_undeclared", "power_as_float",
     ],
 )
 def test_chart_and_branch_errors_report(scenario, code, kind, detail, tmp_path, capsys):
@@ -570,6 +581,20 @@ def test_calls_on_the_shared_parser_match_one_process_per_call(tmp_path, monkeyp
         assert (code, captured.out, captured.err) == _cli_child(argv), argv
         codes.append(code)
     assert codes == [0, 2, 0, 0, 3, 0]
+
+
+def test_module_entry_point_exits_with_mains_code(monkeypatch, capsys):
+    # ``python -m toroidalize.cli oracle euclid.json`` in one child process,
+    # and the module run as ``__main__`` in this one
+    child = _cli_child(["oracle", EUCLID])
+    monkeypatch.setattr(sys, "argv", ["toroidalize", "oracle", EUCLID])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # runpy warns that it runs a module this process has already imported
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("toroidalize.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    assert child == (exc.value.code, captured.out, captured.err)
+    assert child[0] == 0
 
 
 # -- tamper detection -------------------------------------------------------------

@@ -138,7 +138,11 @@ def _shape(form, u_row, v_row, alpha_nonzero=False):
             "transverse_product must have u = x_1 x_2, v = x_2",
         ),
         (_shape(Form.TRANSVERSE_PRODUCT, (1, 1), (0, 1), True), "transverse_product carries no unit factor"),
+        (lambda: power_unit((0, 1), 1, 1, 1), "power_unit base entries must all be positive"),
         (lambda: power_unit((1,), 0, 1, 1), "power_unit powers must be positive"),
+        # an integral float or a bool is no power, though 2.0 == 2 and True == 1
+        (lambda: power_unit((1,), 2.0, 1, 1), "power_unit powers must be integers, got 2.0"),
+        (lambda: power_unit((1,), 1, True, 1), "power_unit powers must be integers, got True"),
     ],
 )
 def test_refusal_message(make, message):

@@ -80,6 +80,16 @@ def test_step_is_pure():
     assert scenario.history == ()
 
 
+def test_scenario_equals_only_a_scenario_and_names_its_fields():
+    final = run(euclid_scenario(), 8)
+    assert final.__eq__(1) is NotImplemented
+    assert (final == 1) is False
+    assert repr(final) == (
+        f"Scenario(n=3, charts=(True,), entries={final.entries!r}, "
+        f"next_id={final.next_id!r}, history={final.history!r})"
+    )
+
+
 def _counted_ladder(monkeypatch, n):
     calls = Counter()
 

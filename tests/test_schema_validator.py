@@ -312,6 +312,13 @@ def test_unknown_keyword_is_refused(schema):
         _Validator(schema)
 
 
+@pytest.mark.parametrize("subschema", [False, 1, []], ids=repr)
+def test_a_subschema_that_is_neither_true_nor_an_object_is_refused(subschema):
+    with pytest.raises(ValueError) as info:
+        _Validator({"properties": {"n": subschema}})
+    assert str(info.value) == f"unsupported schema {subschema!r}"
+
+
 # -- exit-2 reports, byte for byte ---------------------------------------------------
 
 def report(path, message):

@@ -19,9 +19,6 @@ from toroidalize.transform import (
     ChartPoint,
     PermissibilityError,
     blowup,
-    blowup_monomial_free,
-    blowup_monomial_pair,
-    blowup_transverse,
 )
 
 from conftest import column_grid, pair_presentations, try_free, try_pair
@@ -37,7 +34,7 @@ def by_point(result):
 
 def test_blowup_free_ladder_step():
     p = monomial_free((3,), (1,), 1)
-    out = by_point(blowup_monomial_free(p, FREE1))
+    out = by_point(blowup(p, FREE1))
     a0 = out[ChartPoint.A_ORIGIN]
     assert a0.form is Form.MONOMIAL_FREE
     assert (a0.u_row, a0.v_row) == ((3,), (2,))
@@ -52,7 +49,7 @@ def test_blowup_free_ladder_step():
 def test_blowup_free_one_step_to_principal():
     # frozen from the search oracle: (2),(1) principalizes in one step
     p = monomial_free((2,), (1,), 1)
-    out = by_point(blowup_monomial_free(p, FREE1))
+    out = by_point(blowup(p, FREE1))
     a0 = out[ChartPoint.A_ORIGIN]
     assert (a0.u_row, a0.v_row) == ((2,), (2,))
     assert is_principal(a0)
@@ -61,7 +58,7 @@ def test_blowup_free_one_step_to_principal():
 
 def test_blowup_free_multicolumn_keeps_others():
     p = monomial_free((3, 1), (1, 1), 1)
-    out = by_point(blowup_monomial_free(p, FREE1))
+    out = by_point(blowup(p, FREE1))
     assert out[ChartPoint.A_ORIGIN].v_row == (2, 1)
     b = out[ChartPoint.B_ORIGIN]
     assert (b.u_row, b.v_row) == ((3, 1, 3), (2, 1, 1))
@@ -70,14 +67,14 @@ def test_blowup_free_multicolumn_keeps_others():
 def test_blowup_free_rejects_equal_column():
     p = monomial_free((3, 1), (1, 1), 1)
     with pytest.raises(PermissibilityError):
-        blowup_monomial_free(p, Center(2))
+        blowup(p, Center(2))
 
 
 # -- pair blowups -------------------------------------------------------------------
 
 def test_blowup_pair_both_monomial_charts():
     p = monomial_pair((2, 0), (0, 3), 1)
-    out = by_point(blowup_monomial_pair(p, Center(1, 2)))
+    out = by_point(blowup(p, Center(1, 2)))
     a0 = out[ChartPoint.A_ORIGIN]
     assert (a0.u_row, a0.v_row) == ((2, 2), (0, 3))
     b = out[ChartPoint.B_ORIGIN]
@@ -87,7 +84,7 @@ def test_blowup_pair_both_monomial_charts():
 
 def test_blowup_pair_generic_degenerates_to_power():
     p = monomial_pair((1, 0), (0, 1), 1)
-    out = by_point(blowup_monomial_pair(p, Center(1, 2)))
+    out = by_point(blowup(p, Center(1, 2)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.POWER_UNIT
     assert (ag.base, ag.power_u, ag.power_v) == ((1,), 1, 1)
@@ -97,22 +94,22 @@ def test_blowup_pair_sign_criterion_enforced():
     # columns 1 and 2 are both u-dominant: no center passes through them
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
     with pytest.raises(PermissibilityError):
-        blowup_monomial_pair(p, Center(1, 2))
+        blowup(p, Center(1, 2))
 
 
 def test_blowup_pair_orientation_symmetric():
     # the sign criterion is symmetric, so both orientations blow up the same
     # center; the two affine chart labels swap
     p = monomial_pair((2, 0), (0, 3), 1)
-    out_ij = by_point(blowup_monomial_pair(p, Center(1, 2)))
-    out_ji = by_point(blowup_monomial_pair(p, Center(2, 1)))
+    out_ij = by_point(blowup(p, Center(1, 2)))
+    out_ji = by_point(blowup(p, Center(2, 1)))
     assert out_ij[ChartPoint.A_ORIGIN] == out_ji[ChartPoint.B_ORIGIN]
     assert out_ij[ChartPoint.B_ORIGIN] == out_ji[ChartPoint.A_ORIGIN]
 
 
 def test_blowup_pair_three_point_generic():
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
-    out = by_point(blowup_monomial_pair(p, Center(2, 3)))
+    out = by_point(blowup(p, Center(2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.MONOMIAL_PAIR
     assert (ag.u_row, ag.v_row) == ((1, 2), (0, 2))
@@ -121,7 +118,7 @@ def test_blowup_pair_three_point_generic():
 def test_blowup_pair_three_point_second_chart():
     # frozen by substitution bookkeeping: column 2 absorbs column 3
     p = monomial_pair((1, 2, 0), (0, 1, 1), 1)
-    out = by_point(blowup_monomial_pair(p, Center(2, 3)))
+    out = by_point(blowup(p, Center(2, 3)))
     b = out[ChartPoint.B_ORIGIN]
     assert (b.u_row, b.v_row) == ((1, 2, 0), (0, 2, 1))
 
@@ -129,7 +126,7 @@ def test_blowup_pair_three_point_second_chart():
 def test_blowup_pair_three_point_degenerate_collapse():
     # frozen from the minor oracle: collapsed rows (1,2) | (1,2) have rank 1
     p = monomial_pair((1, 1, 1), (1, 0, 2), 1)
-    out = by_point(blowup_monomial_pair(p, Center(2, 3)))
+    out = by_point(blowup(p, Center(2, 3)))
     ag = out[ChartPoint.A_GENERIC]
     assert ag.form is Form.POWER_UNIT
     assert (ag.base, ag.power_u, ag.power_v) == ((1, 2), 1, 1)
@@ -138,7 +135,7 @@ def test_blowup_pair_three_point_degenerate_collapse():
 # -- transverse blowups ---------------------------------------------------------------
 
 def test_blowup_transverse_forms():
-    out = blowup_transverse(transverse(1), FREE1)
+    out = blowup(transverse(1), FREE1)
     forms = {d.form for d in out.descendants}
     assert forms == {Form.TRANSVERSE_UNIT, Form.TRANSVERSE_PRODUCT}
     assert all(is_principal(d) for d in out.descendants)
@@ -224,34 +221,13 @@ def test_center_rejects_bad_indices(indices):
         (monomial_free((3, 1), (1, 0), 1), Center(1, 2)),
         (monomial_pair((2, 0), (0, 3), 1), Center(1)),
         (transverse(1), Center(2)),
+        # Center refuses an index below 1; a rule refuses one past the last column
+        (monomial_free((3,), (1,), 1), Center(2)),
+        (monomial_pair((2, 0), (0, 3), 1), Center(1, 3)),
     ],
-    ids=["pair_on_free", "free_on_pair", "free_2_on_transverse"],
+    ids=["pair_on_free", "free_on_pair", "free_2_on_transverse", "free_past_k", "pair_past_k"],
 )
 def test_blowup_rejects_a_center_of_the_wrong_class(p, c):
     with pytest.raises(PermissibilityError):
         blowup(p, c)
 
-
-# each rule refuses a presentation of another form by name
-@pytest.mark.parametrize(
-    "rule, p, c, message",
-    [
-        (
-            blowup_monomial_free, monomial_pair((2, 0), (0, 3), 1), FREE1,
-            "free-coordinate blowup applies to monomial_free, not monomial_pair",
-        ),
-        (
-            blowup_monomial_pair, monomial_free((3,), (1,), 1), Center(1, 2),
-            "pair blowup applies to monomial_pair, not monomial_free",
-        ),
-        (
-            blowup_transverse, monomial_free((3,), (1,), 1), FREE1,
-            "transverse blowup applies to transverse, not monomial_free",
-        ),
-    ],
-    ids=["free", "pair", "transverse"],
-)
-def test_blowup_rule_rejects_another_form(rule, p, c, message):
-    with pytest.raises(PermissibilityError) as info:
-        rule(p, c)
-    assert str(info.value) == message

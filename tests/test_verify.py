@@ -125,6 +125,10 @@ MUTATIONS = {
     "step_chart_not_parents": lambda d: _steps(d)[0].__setitem__("chart", 2),
     # euclid's first step is a 2-point step
     "two_point_with_one_points_left": lambda d: _steps(d)[0]["before"].__setitem__("one_point_max", 1),
+    # the principal power pair born at step 0, recorded in the other declared chart
+    "descendant_in_another_chart": lambda d: _steps(d)[0]["descendants"][1]["presentation"].__setitem__(
+        "chart", 2
+    ),
 }
 
 # the trace each mutation edits, when it is not euclid's
@@ -133,6 +137,7 @@ BASE = {
     "transverse_locus_kept": "mixed_charts",
     "unused_chart_flag_flipped": "two_charts",
     "step_chart_not_parents": "two_charts",
+    "descendant_in_another_chart": "two_charts",
 }
 
 
@@ -208,6 +213,10 @@ NAMED = [
         "step_chart_not_parents", "step chart", 0, 0,
         "parent 0 lies in chart 1, not in the step's chart 2",
     ),
+    (
+        "descendant_in_another_chart", "step chart", 0, 0,
+        "descendant 2 lies in chart 2, not in its parent's chart 1",
+    ),
     # leaf ids and classification ids are compared in recorded order
     ("duplicated_leaf", "identity", 0, None, "leaf id 4 repeated"),
     ("classification_reordered", "classification", 0, None, "classification does not cover the leaves"),
@@ -241,6 +250,7 @@ RECORDED_ALONE = {
     "classification_reordered": ("classification", 0, None),
     "descendant_cites_non_parent": ("identity", 0, 0),
     "descendant_id_reuse": ("identity", 0, 1),
+    "descendant_in_another_chart": ("step chart", 0, 0),
     "duplicated_leaf": ("identity", 0, None),
     "embedded_scenario_longer": "passes",
     "embedded_scenario_name_type": "passes",
