@@ -12,8 +12,9 @@ schema and :func:`run_rounds`, replayed from it with each round's recorded
 step count as its budget, reproduces every round document whole.  The
 first violated invariant is reported with its round and step index.
 Each recorded presentation is parsed once, on admission, and every check
-reads its ``(principal, presentation)`` ledger entry; the presentation
-document's layout is known to ``scenario_io`` alone.
+reads its ``(principal, presentation)`` ledger entry; the checks leave the
+presentation document's layout to ``scenario_io``'s parser (``cli`` reads
+its fields too, but only to render the text report).
 
 ``toroidalize verify`` runs these checks before the trace schema, and
 accepts a trace only when the trace :func:`verify_trace` regenerates is
@@ -36,6 +37,7 @@ from .principalize import (
     run,
 )
 from .scenario_io import (
+    _TYPES,
     RoundPlan,
     SchemaError,
     check_schema,
@@ -119,7 +121,8 @@ def _check_round(round_doc: dict, round_index: int) -> None:
     under its id; an active item also enters ``active``, the map from each
     id still on the worklist to its (largest center value, count) measure.
     Persistence, the step chart (each parent lies in it, each descendant in
-    its parent's chart), closure and strict descent all read these entries.
+    its parent's chart), closure and strict descent all read these entries,
+    and each leaf must repeat the presentation recorded under its id.
     A round passes only if every active item becomes a parent, so each
     measure is taken once and used.  An active transverse item's measure is
     never compared: closure and principality reject any non-principal child
@@ -157,17 +160,24 @@ def _check_round(round_doc: dict, round_index: int) -> None:
         chart = step_doc["chart"]
         phase = step_doc["phase"]
 
+        # the schema's integer rule, as a presentation's chart is read
+        if type(chart) is not int:
+            if not _TYPES["integer"](chart):
+                raise VerificationError(
+                    round_index, idx, "well-formedness", f"{chart!r} is not of type 'integer'"
+                )
+            chart = int(chart)
+        if not 1 <= chart <= len(charts):
+            raise VerificationError(
+                round_index, idx, "step chart",
+                f"step chart {chart} is not one of charts 1..{len(charts)}",
+            )
         if chart < last_chart:
             raise VerificationError(
                 round_index, idx, "chart order", f"chart fell from {last_chart} to {chart}"
             )
         if chart != last_chart:
             last_chart, floor = chart, 1
-        if not 1 <= chart <= len(charts):
-            raise VerificationError(
-                round_index, idx, "step chart",
-                f"step chart {chart} is not one of charts 1..{len(charts)}",
-            )
         if charts[chart - 1] == (phase == "transverse"):
             raise VerificationError(
                 round_index, idx, "phase", f"phase {phase} contradicts chart {chart}'s base point"
@@ -250,12 +260,17 @@ def _check_round(round_doc: dict, round_index: int) -> None:
 
     leaf_ids: dict[int, None] = {}  # in recorded order
     for leaf in round_doc["leaves"]:
-        if leaf["id"] in leaf_ids:
-            raise VerificationError(round_index, None, "identity", f"leaf id {leaf['id']} repeated")
-        leaf_ids[leaf["id"]] = None
-        if not is_principal(parse(leaf["presentation"], None)):
+        lid = leaf["id"]
+        if lid in leaf_ids:
+            raise VerificationError(round_index, None, "identity", f"leaf id {lid} repeated")
+        leaf_ids[lid] = None
+        p = parse(leaf["presentation"], None)
+        if not is_principal(p):
+            raise VerificationError(round_index, None, "final emptiness", f"leaf {lid} is not principal")
+        # an id the ledger lacks fails the leaf-id comparison below
+        if lid in ledger and ledger[lid][1] != p:
             raise VerificationError(
-                round_index, None, "final emptiness", f"leaf {leaf['id']} is not principal"
+                round_index, None, "identity", f"leaf {lid} differs from its recorded presentation"
             )
     if active:
         raise VerificationError(
@@ -330,8 +345,11 @@ def verify_trace(trace: dict) -> dict:
 
     Otherwise return the trace its embedded scenario regenerates: that
     scenario document, the replayed round documents and their summary.
-    ``trace`` need not have passed the trace schema: a node of the wrong
-    type or a dangling reference is reported as a violation too.
+    ``trace`` need not have passed the trace schema: a dangling reference,
+    or a node no check can read, is reported as a violation too.  But an
+    int written as ``true`` or ``1.0`` passes wherever ``==`` equates the
+    two, as with a step's ``value`` or a parent id; only ``cmd_verify``'s
+    :func:`same_json` check sends such a trace to the trace schema.
     """
     try:
         for round_index, round_doc in enumerate(trace["rounds"]):

@@ -13,6 +13,8 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 from toroidalize.cli import main
 from toroidalize.forms import (
     Form,
@@ -152,10 +154,9 @@ def test_criterion_4_closure_of_form_families():
     report(4, f"non-principal descendants stay in their form family ({descendants_checked} blowup images)")
 
 
-@lru_cache(maxsize=None)
-def _fixture_traces(tmp_root=str(Path("/tmp/toroidalize-acceptance"))):
-    root = Path(tmp_root)
-    root.mkdir(exist_ok=True)
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("acceptance")
     traces = {}
     for fixture in sorted(FIXTURES.glob("*.json")):
         out = root / f"{fixture.stem}.trace.json"
@@ -165,8 +166,7 @@ def _fixture_traces(tmp_root=str(Path("/tmp/toroidalize-acceptance"))):
     return traces
 
 
-def test_criterion_5_end_to_end_toroidality():
-    traces = _fixture_traces()
+def test_criterion_5_end_to_end_toroidality(traces):
     assert len(traces) >= 20
     # required coverage
     assert "three_point.json" in traces and "three_point_degenerate.json" in traces
@@ -195,8 +195,7 @@ def test_criterion_5_end_to_end_toroidality():
     report(5, f"{len(traces)} scenarios classify every leaf toroidally")
 
 
-def test_criterion_6_principality_persistence():
-    traces = _fixture_traces()
+def test_criterion_6_principality_persistence(traces):
     for name, trace in traces.items():
         for round_doc in trace["rounds"]:
             principal = {

@@ -38,8 +38,20 @@ def test_fixture_inventory():
 def test_run_and_verify_every_fixture(fixture, tmp_path, capsys):
     code, out = run_fixture(fixture, tmp_path)
     assert code == 0
-    assert_verifies_as_written(json.loads(out.read_text()))
+    trace = out.read_bytes()
+    summary = json.loads(trace)["summary"]
+    assert_verifies_as_written(json.loads(trace))
     assert main(["verify", str(out)]) == 0
+    # the text report writes the same trace and ends with the summary line
+    capsys.readouterr()
+    code, _ = run_fixture(fixture, tmp_path, extra=["--format", "text"])
+    assert code == 0
+    assert out.read_bytes() == trace
+    done = (
+        f"done: {summary['rounds']} round(s), {summary['steps']} step(s), "
+        f"{summary['leaves']} leaf/leaves"
+    )
+    assert capsys.readouterr().out.endswith(f"\n{done}\n")
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -212,10 +224,13 @@ def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):
     # u = x_1 x_3^(10^12), v = x_2^(10^12) the large third column hides that
     # chain from the first bound (2); after one step the bound of the state
     # reached is 10^12, so the run stops there instead of spinning
-    for n, presentation, steps in (
-        (2, {"chart": 1, "form": "monomial_free", "u": [10**20], "v": [0]}, 0),
-        (3, {"chart": 1, "form": "monomial_pair", "u": [1, 0], "v": [0, 10**12]}, 0),
-        (4, {"chart": 1, "form": "monomial_pair", "u": [1, 0, 10**12], "v": [0, 10**12, 0]}, 1),
+    for n, presentation, steps, message in (
+        (2, {"chart": 1, "form": "monomial_free", "u": [10**20], "v": [0]}, 0, "after 0 steps"),
+        (3, {"chart": 1, "form": "monomial_pair", "u": [1, 0], "v": [0, 10**12]}, 0, "after 0 steps"),
+        (
+            4, {"chart": 1, "form": "monomial_pair", "u": [1, 0, 10**12], "v": [0, 10**12, 0]},
+            1, "after 1 step",
+        ),
     ):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({
@@ -224,9 +239,9 @@ def test_unreachable_budget_exits_3_before_the_first_step(tmp_path, capsys):
             "presentations": [presentation],
         }))
         assert main(["run", str(big), "-o", str(tmp_path / "t.json")]) == 3
-        report = json.loads(capsys.readouterr().out)
-        assert report["kind"] == "budget"
-        assert report["detail"]["steps"] == steps
+        detail = {"message": f"locus still nonempty {message}", "round": 0, "steps": steps}
+        expected = {"status": "error", "kind": "budget", "exit": 3, "detail": detail}
+        assert capsys.readouterr().out == reference_dumps(expected)
 
 
 def test_classification_failure_exits_4(tmp_path, capsys):

@@ -77,6 +77,12 @@ def _append_empty_step(d):
     d["summary"]["steps"] += 1
 
 
+def _swap_first_leaves(d):
+    # euclid's leaves 4 and 5, both principal, each recorded under the other's id
+    first, second = d["rounds"][0]["leaves"][:2]
+    first["presentation"], second["presentation"] = second["presentation"], first["presentation"]
+
+
 MUTATIONS = {
     "chart_out_of_range": lambda d: d["rounds"][0]["steps"][0].__setitem__("chart", 99),
     "unknown_parent": lambda d: d["rounds"][0]["steps"][0]["parents"][0].__setitem__("id", 42),
@@ -121,6 +127,8 @@ MUTATIONS = {
     "classification_reordered": lambda d: d["rounds"][0]["classification"].reverse(),
     # chart 0 would read the last chart's flag as charts[-1]
     "step_chart_zero": lambda d: _steps(d)[0].__setitem__("chart", 0),
+    # the range check comes before the chart-order check
+    "step_chart_negative": lambda d: _steps(d)[0].__setitem__("chart", -1),
     # a declared chart, but the parent (euclid's pair) lies in chart 1
     "step_chart_not_parents": lambda d: _steps(d)[0].__setitem__("chart", 2),
     # euclid's first step is a 2-point step
@@ -129,6 +137,7 @@ MUTATIONS = {
     "descendant_in_another_chart": lambda d: _steps(d)[0]["descendants"][1]["presentation"].__setitem__(
         "chart", 2
     ),
+    "leaves_swapped": _swap_first_leaves,
 }
 
 # the trace each mutation edits, when it is not euclid's
@@ -158,6 +167,10 @@ SCHEMA_FIRST = {
     "step_chart_zero": {
         "path": "$.rounds[0].steps[0].chart",
         "message": "0 is less than the minimum of 1",
+    },
+    "step_chart_negative": {
+        "path": "$.rounds[0].steps[0].chart",
+        "message": "-1 is less than the minimum of 1",
     },
 }
 
@@ -209,6 +222,7 @@ NAMED = [
     ("descendant_cites_non_parent", "identity", 0, 0, "descendant 1 cites a non-parent"),
     ("chart_out_of_range", "step chart", 0, 0, "step chart 99 is not one of charts 1..1"),
     ("step_chart_zero", "step chart", 0, 0, "step chart 0 is not one of charts 1..1"),
+    ("step_chart_negative", "step chart", 0, 0, "step chart -1 is not one of charts 1..1"),
     (
         "step_chart_not_parents", "step chart", 0, 0,
         "parent 0 lies in chart 1, not in the step's chart 2",
@@ -219,6 +233,7 @@ NAMED = [
     ),
     # leaf ids and classification ids are compared in recorded order
     ("duplicated_leaf", "identity", 0, None, "leaf id 4 repeated"),
+    ("leaves_swapped", "identity", 0, None, "leaf 4 differs from its recorded presentation"),
     ("classification_reordered", "classification", 0, None, "classification does not cover the leaves"),
 ]
 
@@ -257,10 +272,11 @@ RECORDED_ALONE = {
     "embedded_scenario_unknown_key": "passes",
     "embedded_scenario_version": "passes",
     "empty_step_appended": "passes",
-    "exponent_nudged": "passes",
+    "exponent_nudged": ("identity", 0, None),
     "initial_exponent_raised": "passes",
     "initial_principal_flag_flip": ("principality", 0, None),
     "leaf_not_principal": ("final emptiness", 0, None),
+    "leaves_swapped": ("identity", 0, None),
     "note_tampered": "passes",
     "one_point_after_two_point": ("phase order", 0, 1),
     "pair_produced_nested": ("closure", 0, 0),
@@ -270,6 +286,7 @@ RECORDED_ALONE = {
     "principal_parent": ("persistence", 0, 1),
     "round_duplicated": "passes",
     "round_index_lie": "passes",
+    "step_chart_negative": ("step chart", 0, 0),
     "step_chart_not_parents": ("step chart", 0, 0),
     "step_chart_zero": ("step chart", 0, 0),
     "summary_lie": "passes",
@@ -306,16 +323,21 @@ def test_flipped_chart_flags_fail_well_formedness(base_traces):
 
 @pytest.mark.parametrize("chart", ["1", 1.5, True, math.inf], ids=repr)
 def test_recorded_chart_that_is_no_integer_fails_well_formedness(base_trace, chart):
-    # the recorded checks alone read a chart by the schema's integer rule,
-    # before any int() call: no "1" read as 1, no OverflowError on inf
-    doc = copy.deepcopy(base_trace)
-    doc["rounds"][0]["initial"][0]["presentation"]["chart"] = chart
-    with pytest.raises(VerificationError) as info:
-        _check_round(doc["rounds"][0], 0)
-    assert (info.value.invariant, info.value.round_index, info.value.step_index) == (
-        "well-formedness", 0, None,
-    )
-    assert str(info.value).endswith(f"{chart!r} is not of type 'integer'")
+    # the recorded checks alone read a presentation's chart and a step's
+    # chart by the schema's integer rule, before any int() call: no "1"
+    # read as 1, no OverflowError on inf, no True taken for chart 1
+    for holder, step_index in (
+        (lambda d: d["rounds"][0]["initial"][0]["presentation"], None),
+        (lambda d: _steps(d)[0], 0),
+    ):
+        doc = copy.deepcopy(base_trace)
+        holder(doc)["chart"] = chart
+        with pytest.raises(VerificationError) as info:
+            _check_round(doc["rounds"][0], 0)
+        assert (info.value.invariant, info.value.round_index, info.value.step_index) == (
+            "well-formedness", 0, step_index,
+        )
+        assert str(info.value).endswith(f"{chart!r} is not of type 'integer'")
 
 
 def test_replay_template_failure_is_reported_as_classification(tmp_path, capsys):
@@ -435,6 +457,8 @@ PINNED = {
         0,
         '"status": "ok"',
     ),
+    # a step's chart is read by the same integer rule
+    "step_chart_as_float": (lambda d: _first_step(d).__setitem__("chart", 1.0), 0, '"status": "ok"'),
     # the trace schema refuses both first; the recorded checks would too
     "initial_chart_as_string": (
         lambda d: d["rounds"][0]["initial"][0]["presentation"].__setitem__("chart", "1"),
@@ -700,7 +724,11 @@ def test_verify_of_a_run_trace_skips_the_trace_schema(name, tmp_path, trace_sche
         scenario.write_text(json.dumps(_float_charts()))
     out = tmp_path / f"{name}.trace.json"
     assert main(["run", str(scenario), "-o", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["verify", str(out)]) == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    # the same document re-serialised compactly: other bytes, the same JSON
+    compact = tmp_path / f"{name}.compact.json"
+    compact.write_text(json.dumps(json.loads(out.read_text())))
+    for path in (out, compact):
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
     assert trace_schema_calls == []
