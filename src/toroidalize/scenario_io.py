@@ -17,7 +17,9 @@ encoder that ``json`` falls back to whenever ``indent`` is set.
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -358,16 +360,34 @@ def check_schema(doc, schema_name: str) -> None:
         )
 
 
-def canonical_dumps(doc) -> str:
+# With a sink, ``canonical_dumps`` hands its buffered chunks on once there
+# are this many, about 32 KB of trace text.  The chunks, their join and the
+# file's encoded copy of it then take about 0.17 MB; 8,192 chunks would take
+# 0.64 MB, nearly half of a 1.4 MB trace.
+FLUSH_CHUNKS = 2048
+
+
+def canonical_dumps(doc, write: Callable[[str], object] | None = None) -> str | None:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     ``json`` takes its C encoder only without ``indent``, so dicts, lists,
     strings, ints, bools and None are written here; any other node (a
     float, a tuple) is handed to that ``json.dumps`` call on its own.
     Dict keys must be strings, as in every parsed JSON document.
+
+    Without ``write`` the text is returned.  With it (a text file's
+    ``write``, say), the same text is passed to ``write`` in pieces and
+    ``None`` is returned: the buffered chunks are joined and handed on
+    whenever there are at least ``FLUSH_CHUNKS`` of them at the boundary
+    between two elements of a list that holds more than ints, and once
+    more at the end.  So memory stays bounded by the largest list element
+    rather than by the whole text.  An error (a ``ValueError`` for an int
+    past the interpreter's digit limit) may come after some pieces were
+    written.
     """
     chunks: list[str] = []
     append = chunks.append
+    limit = FLUSH_CHUNKS if write is not None else sys.maxsize
     # per depth: (newline + indent, {key: '{' head}, {key: ',' head}); a
     # repeated key appends one shared string
     levels: list[tuple[str, dict, dict]] = [("\n", {}, {})]
@@ -409,6 +429,9 @@ def canonical_dumps(doc) -> str:
                     if type(x) is not int:
                         sep, rest = "[" + inner, "," + inner
                         for item in o:
+                            if len(chunks) >= limit:
+                                write("".join(chunks))
+                                chunks.clear()
                             append(sep)
                             emit(item, depth + 1)
                             sep = rest
@@ -419,7 +442,10 @@ def canonical_dumps(doc) -> str:
 
     emit(doc, 0)
     append("\n")
-    return "".join(chunks)
+    if write is None:
+        return "".join(chunks)
+    write("".join(chunks))
+    return None
 
 
 # -- presentations ---------------------------------------------------------------
@@ -619,22 +645,28 @@ def round_to_doc(
     final: Scenario,
     leaves: list[ClassifiedLeaf],
 ) -> dict:
+    """One round's trace document.  ``final`` is ``run``'s result from
+    ``initial``, so each of its entries is an initial entry or a step's
+    descendant, and its leaf shares that item's presentation document."""
+    initial_docs = [
+        {
+            "id": e.id,
+            "principal": not e.active,
+            "presentation": presentation_to_doc(e.presentation),
+        }
+        for e in initial.entries
+    ]
+    steps = [step_to_doc(i, s) for i, s in enumerate(final.history)]
+    presentations = {item["id"]: item["presentation"] for item in initial_docs}
+    for step in steps:
+        for item in step["descendants"]:
+            presentations[item["id"]] = item["presentation"]
     return {
         "round": round_index,
         "charts": list(initial.charts),
-        "initial": [
-            {
-                "id": e.id,
-                "principal": not e.active,
-                "presentation": presentation_to_doc(e.presentation),
-            }
-            for e in initial.entries
-        ],
-        "steps": [step_to_doc(i, s) for i, s in enumerate(final.history)],
-        "leaves": [
-            {"id": e.id, "presentation": presentation_to_doc(e.presentation)}
-            for e in final.entries
-        ],
+        "initial": initial_docs,
+        "steps": steps,
+        "leaves": [{"id": e.id, "presentation": presentations[e.id]} for e in final.entries],
         "classification": [leaf_to_doc(leaf) for leaf in leaves],
     }
 
@@ -664,7 +696,27 @@ def load_trace(path: str | Path) -> dict:
 
 
 def write_trace(doc: dict, path: str | Path) -> None:
+    """Stream ``canonical_dumps(doc)`` into the file at ``path``.
+
+    The text goes straight to ``path``, never whole in memory.  Failure
+    rule: if ``open`` fails, nothing is written; on any error after it
+    (an int past the digit limit, a full disk, an interrupt) the file is
+    closed and removed, even one that existed before the call, so a
+    failed write leaves no partial trace unless the directory forbids the
+    removal.  The error is raised again; an ``OSError`` or ``ValueError``
+    as ``SchemaError`` with the error's own text (which, for a path that
+    cannot be opened, names it).
+    """
     try:
-        Path(path).write_text(canonical_dumps(doc))
+        f = open(path, "w")
+        try:
+            with f:
+                canonical_dumps(doc, f.write)
+        except BaseException:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            raise
     except (OSError, ValueError) as exc:  # ValueError: an int past the digit limit
         raise SchemaError("$", f"cannot write trace file: {exc}") from exc

@@ -159,16 +159,20 @@ def test_integer_literal_past_the_digit_limit_exits_2(verb, tmp_path, capsys):
     assert out == _schema_report(message)
 
 
-@needs_digit_limit
-def test_trace_value_past_the_digit_limit_exits_2(tmp_path, capsys):
-    # the entries fit the limit, but the one step's 2-point value 10^(2e) does not
+def _huge_step_scenario(tmp_path):
+    # the entries fit the digit limit, but the one step's 2-point value 10^(2e) does not
     e = INT_DIGITS // 2 + 1
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(
         _one_chart(True, {"chart": 1, "form": "monomial_pair", "u": [10**e, 0], "v": [0, 10**e]})
     ))
+    return path
+
+
+@needs_digit_limit
+def test_trace_value_past_the_digit_limit_exits_2(tmp_path, capsys):
     out = tmp_path / "huge.trace.json"
-    assert main(["run", str(path), "-o", str(out)]) == 2
+    assert main(["run", str(_huge_step_scenario(tmp_path)), "-o", str(out)]) == 2
     report = capsys.readouterr().out
     message = json.loads(report)["detail"]["message"]
     assert message.startswith("cannot write trace file: Exceeds the limit")
@@ -176,13 +180,29 @@ def test_trace_value_past_the_digit_limit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@needs_digit_limit
+def test_trace_value_past_the_digit_limit_removes_an_existing_file(tmp_path, capsys):
+    # the trace streams into the file it names, so a failed write removes a
+    # file that was there before rather than leave it half overwritten
+    out = tmp_path / "huge.trace.json"
+    out.write_text("an earlier trace\n")
+    assert main(["run", str(_huge_step_scenario(tmp_path)), "-o", str(out)]) == 2
+    report = capsys.readouterr().out
+    assert json.loads(report)["detail"]["message"].startswith("cannot write trace file: Exceeds the limit")
+    assert not out.exists()
+
+
 def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "t.json"
     assert main(["run", str(FIXTURES / "euclid.json"), "-o", str(out)]) == 2
-    report = json.loads(capsys.readouterr().out)
-    assert (report["kind"], report["detail"]["path"]) == ("schema", "$")
-    assert report["detail"]["message"].startswith("cannot write trace file: ")
-    assert str(out) in report["detail"]["message"]
+    report = capsys.readouterr().out
+    detail = json.loads(report)["detail"]
+    assert detail["message"].startswith("cannot write trace file: ")
+    assert str(out) in detail["message"]
+    # the report is the error of opening the path the user named, byte for byte
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert report == _schema_report(f"cannot write trace file: {opened.value}")
 
 
 @pytest.mark.parametrize(
